@@ -9,8 +9,12 @@ import (
 
 	"p4assert/internal/bench"
 	"p4assert/internal/core"
+	"p4assert/internal/model"
 	"p4assert/internal/progs"
 	"p4assert/internal/rules"
+	"p4assert/internal/solver"
+	"p4assert/internal/sym"
+	"p4assert/internal/whippersnapper"
 )
 
 func runSweep(b *testing.B, s bench.Sweep, x int, v bench.Variant) {
@@ -168,6 +172,62 @@ func BenchmarkTable1(b *testing.B) {
 		if _, err := bench.Table1(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ------------------------------------------------------------- Executor --
+
+// BenchmarkExecute times the symbolic executor alone on translated models:
+// the three programs of perfbench's solve workload (dcp4 with its rules,
+// fabric, dapper) and the 12-table whippersnapper of its explore workload.
+// Each iteration is one verdict's execution with a fresh shared memo, as in
+// the pipeline; allocs/op is the executor's allocation per verdict.
+func BenchmarkExecute(b *testing.B) {
+	type input struct {
+		name string
+		m    *model.Program
+	}
+	var ins []input
+	for _, name := range []string{"dcp4", "fabric", "dapper"} {
+		p, err := progs.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var opts core.Options
+		if p.Rules != "" {
+			if opts.Rules, err = rules.Parse(p.Rules); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m, err := core.BuildModel(name+".p4", p.Source, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, input{name, m})
+	}
+	ws := whippersnapper.Generate(whippersnapper.Default(12))
+	m, err := core.BuildModel("whippersnapper.p4", ws, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ins = append(ins, input{"whippersnapper-12", m})
+
+	for _, in := range ins {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *sym.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = sym.Execute(in.m, sym.Options{SolverMemo: solver.NewMemo(solver.SharedMemoCap)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Exhausted || res.Metrics.Paths == 0 {
+					b.Fatalf("exhausted=%v paths=%d", res.Exhausted, res.Metrics.Paths)
+				}
+			}
+			b.ReportMetric(float64(res.Metrics.Paths), "paths")
+		})
 	}
 }
 

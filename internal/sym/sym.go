@@ -8,6 +8,13 @@
 // checks ask the solver for an input violating the assertion under the path
 // condition; a satisfying model becomes the reported counterexample packet.
 //
+// A path's state is laid out so that forking it is cheap: the store is a
+// slice indexed by each global's position in Program.Globals and the call
+// depths a slice indexed by function, both resolved from names once per
+// Execute, so a fork copies flat slices; the per-hint draw counters are
+// shared copy-on-write between a state and its clones and copied only when
+// a path draws again.
+//
 // The executor also implements the paper's measurement hooks: executed
 // instruction counts (§5.5 metric ii) and path statistics.
 package sym
@@ -27,8 +34,8 @@ import (
 // Options configures an execution.
 type Options struct {
 	// Ctx, when non-nil, cancels exploration early: Execute returns
-	// Ctx.Err() as soon as cancellation is observed (checked at the same
-	// cadence as Deadline). A nil Ctx means no cancellation.
+	// Ctx.Err() as soon as cancellation is observed (polled together with
+	// Deadline). A nil Ctx means no cancellation.
 	Ctx context.Context
 	// MaxCallDepth bounds recursive function activation (parser loops such
 	// as MRI's). Paths exceeding it terminate with BoundExceeded.
@@ -37,7 +44,10 @@ type Options struct {
 	// MaxPaths aborts exploration after this many completed paths
 	// (0 = unlimited). The result is then marked Exhausted.
 	MaxPaths int64
-	// Deadline, when non-zero, aborts exploration at that time.
+	// Deadline, when non-zero, aborts exploration at that time. It is
+	// polled between path segments once 4096 instructions have run since
+	// the last poll, so a run overshoots it by at most that many
+	// instructions plus the segment in progress.
 	Deadline time.Time
 	// Opt enables executor-level optimizations analogous to KLEE's
 	// --optimize flag: counterexample-model reuse to skip solver calls and
@@ -176,10 +186,15 @@ func (r *Result) Violated(id int) bool {
 	return false
 }
 
+// pollEvery is how many instructions may run between two polls of
+// Options.Deadline and Options.Ctx.
+const pollEvery = 4096
+
 // frame is one activation record; block frames are nested statement lists
-// within the same function activation.
+// within the same function activation. fn is the function's slot in
+// state.depth.
 type frame struct {
-	fn      string
+	fn      int
 	body    []model.Stmt
 	ip      int
 	isBlock bool
@@ -187,21 +202,28 @@ type frame struct {
 
 // state is one execution path's state.
 type state struct {
-	store    map[string]*bv.Expr
+	// store holds each global's value, indexed by its slot (its position
+	// in Program.Globals).
+	store    []*bv.Expr
 	pc       []*bv.Expr
 	frames   []frame
 	entryIdx int
 	halted   bool // parser reject: skip remaining pipeline blocks
 	trace    []string
-	depth    map[string]int
-	// symCnt numbers fresh symbolic values along this path per hint, so
-	// the k-th MakeSymbolic of a given hint always gets the same name
-	// ("hint#k") regardless of exploration order or what other hints were
-	// drawn in between. Per-hint (rather than path-global) numbering makes
-	// the names portable across program versions: when two composed models
-	// extract the same field (internal/equiv), their k-th draws share one
-	// symbolic variable — the same packet byte.
-	symCnt map[string]int
+	// depth counts the live activations of each function, indexed by
+	// function slot, for the call-depth bound.
+	depth []int
+	// draws numbers fresh symbolic values along this path per hint,
+	// indexed by hint slot, so the k-th MakeSymbolic of a given hint always
+	// gets the same name ("hint#k") regardless of exploration order or what
+	// other hints were drawn in between. Per-hint (rather than path-global)
+	// numbering makes the names portable across program versions: when two
+	// composed models extract the same field (internal/equiv), their k-th
+	// draws share one symbolic variable — the same packet byte.
+	draws []int
+	// drawsShared marks draws as shared with a clone: the next draw
+	// copies it before counting.
+	drawsShared bool
 	// lastModel caches a satisfying assignment for pc (Opt mode).
 	lastModel map[string]uint64
 	// checks records every assertion condition evaluated along the path
@@ -217,31 +239,20 @@ type pathCheck struct {
 }
 
 func (s *state) clone() *state {
-	n := &state{
-		store:     make(map[string]*bv.Expr, len(s.store)),
-		pc:        append([]*bv.Expr(nil), s.pc...),
-		frames:    make([]frame, len(s.frames)),
-		entryIdx:  s.entryIdx,
-		halted:    s.halted,
-		trace:     append([]string(nil), s.trace...),
-		depth:     make(map[string]int, len(s.depth)),
-		lastModel: s.lastModel,
-		checks:    s.checks[:len(s.checks):len(s.checks)],
+	s.drawsShared = s.draws != nil
+	return &state{
+		store:       append([]*bv.Expr(nil), s.store...),
+		pc:          append([]*bv.Expr(nil), s.pc...),
+		frames:      append([]frame(nil), s.frames...),
+		entryIdx:    s.entryIdx,
+		halted:      s.halted,
+		trace:       append([]string(nil), s.trace...),
+		depth:       append([]int(nil), s.depth...),
+		draws:       s.draws,
+		drawsShared: s.drawsShared,
+		lastModel:   s.lastModel,
+		checks:      s.checks[:len(s.checks):len(s.checks)],
 	}
-	for k, v := range s.store {
-		n.store[k] = v
-	}
-	copy(n.frames, s.frames)
-	for k, v := range s.depth {
-		n.depth[k] = v
-	}
-	if len(s.symCnt) > 0 {
-		n.symCnt = make(map[string]int, len(s.symCnt))
-		for k, v := range s.symCnt {
-			n.symCnt[k] = v
-		}
-	}
-	return n
 }
 
 type executor struct {
@@ -253,6 +264,15 @@ type executor struct {
 	byID    map[int]*Violation
 	ordered []*Violation
 	tests   []PathTest
+	// slots maps each global's name to its slot in state.store.
+	slots map[string]int
+	// funcs maps each function's name to its slot in bodies and
+	// state.depth.
+	funcs  map[string]int
+	bodies [][]model.Stmt
+	// hints maps each MakeSymbolic hint to its slot in state.draws,
+	// assigned when the hint is first drawn.
+	hints map[string]int
 	// egress caches the model's egress-port global name (CollectTests).
 	egress string
 }
@@ -264,11 +284,14 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 	}
 	ctx := bv.NewContext()
 	ex := &executor{
-		p:    p,
-		opts: opts,
-		ctx:  ctx,
-		chk:  solver.New(ctx),
-		byID: map[int]*Violation{},
+		p:     p,
+		opts:  opts,
+		ctx:   ctx,
+		chk:   solver.New(ctx),
+		byID:  map[int]*Violation{},
+		slots: make(map[string]int, len(p.Globals)),
+		funcs: make(map[string]int, len(p.Funcs)),
+		hints: map[string]int{},
 	}
 	ex.chk.Cfg = opts.Solver
 	ex.chk.Shared = opts.SolverMemo
@@ -276,15 +299,20 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 		ex.egress = EgressGlobal(p)
 	}
 
-	init := &state{
-		store: make(map[string]*bv.Expr, len(p.Globals)),
-		depth: map[string]int{},
+	for name, f := range p.Funcs {
+		ex.funcs[name] = len(ex.bodies)
+		ex.bodies = append(ex.bodies, f.Body)
 	}
-	for _, g := range p.Globals {
+	init := &state{
+		store: make([]*bv.Expr, len(p.Globals)),
+		depth: make([]int, len(ex.bodies)),
+	}
+	for i, g := range p.Globals {
+		ex.slots[g.Name] = i
 		if g.Symbolic {
-			init.store[g.Name] = ctx.Var(g.Name, g.Width)
+			init.store[i] = ctx.Var(g.Name, g.Width)
 		} else {
-			init.store[g.Name] = ctx.Const(g.Width, g.Init)
+			init.store[i] = ctx.Const(g.Width, g.Init)
 		}
 	}
 	for _, c := range opts.InitialConstraints {
@@ -306,18 +334,22 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 	stack := []*state{init}
 	ex.met.MaxFrontier = 1
 	exhausted := false
+	nextPoll := int64(0) // poll before the first path too
 	for len(stack) > 0 {
 		if opts.MaxPaths > 0 && ex.met.Paths >= opts.MaxPaths {
 			exhausted = true
 			break
 		}
-		if !opts.Deadline.IsZero() && ex.met.Instructions%4096 == 0 && time.Now().After(opts.Deadline) {
-			exhausted = true
-			break
-		}
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, err
+		if ex.met.Instructions >= nextPoll {
+			nextPoll = ex.met.Instructions + pollEvery
+			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+				exhausted = true
+				break
+			}
+			if opts.Ctx != nil {
+				if err := opts.Ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
 		}
 		st := stack[len(stack)-1]
@@ -356,13 +388,11 @@ func (ex *executor) collectTest(st *state) {
 		cp[k] = v
 	}
 	out := PathOutcome{Halted: st.halted}
-	if v, ok := st.store[model.ForwardFlag]; ok {
-		out.Forward = bv.Eval(v, cp)
+	if i, ok := ex.slots[model.ForwardFlag]; ok {
+		out.Forward = bv.Eval(st.store[i], cp)
 	}
-	if ex.egress != "" {
-		if v, ok := st.store[ex.egress]; ok {
-			out.Egress = bv.Eval(v, cp)
-		}
+	if i, ok := ex.slots[ex.egress]; ok {
+		out.Egress = bv.Eval(st.store[i], cp)
 	}
 	for _, c := range st.checks {
 		if bv.Eval(c.cond, cp) == 0 {
@@ -400,11 +430,11 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if st.halted && name != "$checks" {
 				continue // rejected packets skip the pipeline blocks
 			}
-			fn, ok := ex.p.Funcs[name]
+			fi, ok := ex.funcs[name]
 			if !ok {
 				return nil, fmt.Errorf("sym: entry function %s not found", name)
 			}
-			st.frames = append(st.frames, frame{fn: name, body: fn.Body})
+			st.frames = append(st.frames, frame{fn: fi, body: ex.bodies[fi]})
 		}
 
 		fr := &st.frames[len(st.frames)-1]
@@ -425,23 +455,30 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, ok := ex.p.Global(s.LHS)
+			i, ok := ex.slots[s.LHS]
 			if !ok {
 				return nil, fmt.Errorf("sym: assignment to unknown global %s", s.LHS)
 			}
-			st.store[s.LHS] = ex.ctx.Resize(v, g.Width)
+			st.store[i] = ex.ctx.Resize(v, ex.p.Globals[i].Width)
 
 		case *model.MakeSymbolic:
-			g, ok := ex.p.Global(s.Var)
+			i, ok := ex.slots[s.Var]
 			if !ok {
 				return nil, fmt.Errorf("sym: make_symbolic of unknown global %s", s.Var)
 			}
-			if st.symCnt == nil {
-				st.symCnt = map[string]int{}
+			h, ok := ex.hints[s.Hint]
+			if !ok {
+				h = len(ex.hints)
+				ex.hints[s.Hint] = h
 			}
-			st.symCnt[s.Hint]++
-			name := fmt.Sprintf("%s#%d", s.Hint, st.symCnt[s.Hint])
-			st.store[s.Var] = ex.ctx.Var(name, g.Width)
+			if st.drawsShared || h >= len(st.draws) {
+				d := make([]int, len(ex.hints))
+				copy(d, st.draws)
+				st.draws, st.drawsShared = d, false
+			}
+			st.draws[h]++
+			name := fmt.Sprintf("%s#%d", s.Hint, st.draws[h])
+			st.store[i] = ex.ctx.Var(name, ex.p.Globals[i].Width)
 
 		case *model.If:
 			cond, err := ex.eval(s.Cond, st)
@@ -490,11 +527,11 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			return out, nil
 
 		case *model.Call:
-			fn, ok := ex.p.Funcs[s.Func]
+			fi, ok := ex.funcs[s.Func]
 			if !ok {
 				return nil, fmt.Errorf("sym: call to unknown function %s", s.Func)
 			}
-			if st.depth[s.Func] >= ex.opts.MaxCallDepth {
+			if st.depth[fi] >= ex.opts.MaxCallDepth {
 				// Loop bound hit (recursive parser): the execution is
 				// truncated, so the path is killed outright — its final
 				// state is not meaningful and is not checked, as with a
@@ -502,8 +539,8 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				ex.met.BoundExceeded++
 				return nil, nil
 			}
-			st.depth[s.Func]++
-			st.frames = append(st.frames, frame{fn: s.Func, body: fn.Body})
+			st.depth[fi]++
+			st.frames = append(st.frames, frame{fn: fi, body: ex.bodies[fi]})
 
 		case *model.Assume:
 			v, err := ex.eval(s.Cond, st)
@@ -563,12 +600,12 @@ func (ex *executor) run(st *state) ([]*state, error) {
 		case *model.Exit:
 			// P4 exit: terminate all blocks of the current pipeline stage.
 			st.frames = st.frames[:0]
-			st.depth = map[string]int{}
+			clear(st.depth)
 
 		case *model.Halt:
 			// Parser reject: skip the pipeline, keep final checks.
 			st.frames = st.frames[:0]
-			st.depth = map[string]int{}
+			clear(st.depth)
 			st.halted = true
 
 		case *model.TraceNote:
@@ -578,7 +615,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			// Restart per-hint input numbering: subsequent draws re-yield
 			// the hash-consed variables of the first sequence, which is how
 			// composed differential models share one symbolic packet.
-			st.symCnt = nil
+			st.draws, st.drawsShared = nil, false
 
 		default:
 			return nil, fmt.Errorf("sym: unknown statement %T", stmt)
@@ -587,7 +624,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 }
 
 // pushBody enters a nested statement list within the same function.
-func (ex *executor) pushBody(st *state, fn string, body []model.Stmt) {
+func (ex *executor) pushBody(st *state, fn int, body []model.Stmt) {
 	if len(body) == 0 {
 		return
 	}

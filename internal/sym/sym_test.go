@@ -248,6 +248,86 @@ func TestMakeSymbolicFreshness(t *testing.T) {
 	}
 }
 
+func TestForkIsolatesPathState(t *testing.T) {
+	// One draw before an If and a Fork leaves four paths sharing one draw
+	// counter. Each Fork sibling then writes the store, draws, and recurses
+	// through rec to its own bound: side a past the call-depth bound
+	// (killed), side b to exactly the bound (completes). Side a runs first
+	// (DFS) and starts with a ResetDraws, so its second draw and side b's
+	// first are both hint#2. Every assertion holds iff no sibling sees
+	// another's writes, draws, draw resets or call depth.
+	ref := func(n string) model.Expr { return &model.Ref{Name: n} }
+	c8 := func(v uint64) model.Expr { return &model.Const{Width: 8, Val: v} }
+	eq := func(x, y model.Expr) model.Expr { return &model.Bin{Op: model.OpEq, X: x, Y: y} }
+	check := func(id int, cond model.Expr) model.Stmt { return &model.AssertCheck{ID: id, Cond: cond} }
+
+	p := model.NewProgram()
+	p.AddGlobal("in", 8, true, 0)
+	// The symbolic global "hint#2" is the very variable the second draw of
+	// hint "hint" yields: comparing a draw with it checks the draw's name.
+	p.AddGlobal("hint#2", 8, true, 0)
+	for _, g := range []string{"v", "w", "u", "x", "y", "k", "lim"} {
+		p.AddGlobal(g, 8, false, 0)
+	}
+	p.AddFunc(&model.Func{Name: "main", Body: []model.Stmt{
+		&model.MakeSymbolic{Var: "v", Hint: "hint"},
+		&model.If{
+			Cond: eq(ref("in"), c8(0)),
+			Then: []model.Stmt{&model.Assign{LHS: "x", RHS: c8(1)}},
+			Else: []model.Stmt{&model.Assign{LHS: "x", RHS: c8(2)}},
+		},
+		&model.Fork{Selector: "side", Labels: []string{"a", "b"}, Branches: [][]model.Stmt{
+			{
+				&model.Assign{LHS: "y", RHS: c8(10)},
+				&model.Assign{LHS: "lim", RHS: c8(9)},
+				&model.ResetDraws{},
+				&model.MakeSymbolic{Var: "u", Hint: "hint"},
+				check(0, eq(ref("u"), ref("v"))),
+				&model.MakeSymbolic{Var: "w", Hint: "hint"},
+				check(1, eq(ref("w"), ref("hint#2"))),
+				&model.Call{Func: "rec"},
+			},
+			{
+				check(2, eq(ref("y"), c8(0))),
+				&model.Assign{LHS: "y", RHS: c8(20)},
+				&model.Assign{LHS: "lim", RHS: c8(3)},
+				&model.MakeSymbolic{Var: "w", Hint: "hint"},
+				check(3, eq(ref("w"), ref("hint#2"))),
+				&model.Call{Func: "rec"},
+				check(4, eq(ref("k"), c8(3))),
+				check(5, eq(ref("x"), &model.Cond{C: eq(ref("in"), c8(0)), T: c8(1), F: c8(2)})),
+			},
+		}},
+	}})
+	// rec recurses while ++k < lim.
+	p.AddFunc(&model.Func{Name: "rec", Body: []model.Stmt{
+		&model.Assign{LHS: "k", RHS: &model.Bin{Op: model.OpAdd, X: ref("k"), Y: c8(1)}},
+		&model.If{
+			Cond: &model.Bin{Op: model.OpLt, X: ref("k"), Y: ref("lim")},
+			Then: []model.Stmt{&model.Call{Func: "rec"}},
+		},
+	}})
+	p.Entry = []string{"main"}
+	for id := 0; id <= 5; id++ {
+		p.Asserts = append(p.Asserts, &model.AssertInfo{ID: id})
+	}
+	for _, opt := range []bool{false, true} {
+		res, err := Execute(p, Options{MaxCallDepth: 3, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("opt=%v: assertion %d violated on %d path(s), trace %v, model %v",
+				opt, v.AssertID, v.Count, v.Trace, v.Model)
+		}
+		m := res.Metrics
+		if m.Forks != 3 || m.Paths != 2 || m.BoundExceeded != 2 {
+			t.Errorf("opt=%v: forks=%d paths=%d bound-exceeded=%d, want 3, 2, 2",
+				opt, m.Forks, m.Paths, m.BoundExceeded)
+		}
+	}
+}
+
 func TestMaxPathsExhausts(t *testing.T) {
 	res, err := Execute(chainModel(6), Options{MaxPaths: 5})
 	if err != nil {
