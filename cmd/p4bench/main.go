@@ -15,9 +15,6 @@
 //	                     1/2/4 nodes — cold, cache-warm and incremental —
 //	                     vs the single-process parallel pipeline
 //	                     (writes BENCH_cluster.json)
-//	-exp solver          execute fabric under each solver acceleration
-//	                     mode (sessions, portfolio, memo cold/warm) vs the
-//	                     unaccelerated baseline (writes BENCH_solver.json)
 //	-exp all             everything above
 //
 // Absolute numbers differ from the paper's (different machine, engine and
@@ -37,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (fig9a-d, fig10a-d, table1, table2, combined, bugs, incremental, testgen, cluster, solver, all)")
+		exp     = flag.String("exp", "all", "experiment id (fig9a-d, fig10a-d, table1, table2, combined, bugs, incremental, testgen, cluster, all)")
 		full    = flag.Bool("full", false, "use the paper's full parameter ranges (slow)")
 		repeats = flag.Int("repeats", 3, "repetitions for wall-clock rows (table2/combined/incremental)")
 		smoke   = flag.Bool("smoke", false, "CI smoke mode: single repetition, still enforcing result invariants")
@@ -50,7 +47,7 @@ func main() {
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = []string{"bugs", "table1", "fig9a", "fig9b", "fig9c", "fig9d",
-			"fig10a", "fig10b", "fig10c", "fig10d", "table2", "combined", "incremental", "testgen", "cluster", "solver"}
+			"fig10a", "fig10b", "fig10c", "fig10d", "table2", "combined", "incremental", "testgen", "cluster"}
 	}
 	for _, id := range ids {
 		if err := run(strings.TrimSpace(id), *full, *repeats); err != nil {
@@ -212,39 +209,6 @@ func run(id string, full bool, repeats int) error {
 		fmt.Printf("  wrote BENCH_cluster.json\n\n")
 		if !res.ByteIdentical {
 			return fmt.Errorf("cluster report diverged from the single-process run")
-		}
-		return nil
-
-	case id == "solver":
-		res, err := bench.Solver(repeats)
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile("BENCH_solver.json", append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("Solver acceleration (%s, %d lines; %d queries, %d full):\n",
-			res.Program, res.ProgramLines, res.Queries, res.FullQueries)
-		for _, r := range res.Runs {
-			fmt.Printf("  %-10s wall %.3fs  solver %.4fs  reuse %-5d memo %-5d race s/f %d/%d  learned %d\n",
-				r.Mode, r.WallSeconds, r.SolverSeconds, r.SessionReuseHits, r.MemoHits,
-				r.PortfolioSessionWins, r.PortfolioFreshWins, r.LearnedClauses)
-		}
-		fmt.Printf("  solver-time speedup (baseline vs warm memo): %.1fx\n", res.Speedup)
-		fmt.Printf("  byte-identical results: %v\n", res.ByteIdentical)
-		fmt.Printf("  wrote BENCH_solver.json\n\n")
-		if !res.ByteIdentical {
-			return fmt.Errorf("acceleration modes diverged from the baseline")
-		}
-		if res.Speedup < 3 {
-			return fmt.Errorf("solver-time speedup %.2fx below the 3x acceptance bar", res.Speedup)
-		}
-		if res.SessionReuseHits == 0 {
-			return fmt.Errorf("incremental sessions reused no circuits")
 		}
 		return nil
 

@@ -403,25 +403,6 @@ func (b *Blaster) AssertTrue(e *bv.Expr) {
 	b.s.AddClause(b.Bits(e)[0])
 }
 
-// Lit returns the indicator literal of the width-1 expression e, building
-// its circuit on demand but adding no unit clause. The Tseitin encoding
-// here is biconditional, so assuming the literal (sat.SolveAssuming)
-// constrains e to hold exactly as AssertTrue would — the incremental
-// session's way of activating a path conjunct without committing it.
-func (b *Blaster) Lit(e *bv.Expr) sat.Lit {
-	if e.Width != 1 {
-		panic("bitblast: Lit requires a width-1 expression")
-	}
-	return b.Bits(e)[0]
-}
-
-// Seen reports whether e's circuit has already been emitted into the
-// solver (the session's new-expression test).
-func (b *Blaster) Seen(e *bv.Expr) bool {
-	_, ok := b.bits[e]
-	return ok
-}
-
 // VarBits returns the input literals of a blasted variable (LSB first),
 // or nil if the variable has not been blasted.
 func (b *Blaster) VarBits(name string) []sat.Lit { return b.varBits[name] }
@@ -436,9 +417,8 @@ func (b *Blaster) Model() map[string]uint64 {
 	return m
 }
 
-// ModelFor extracts concrete values for the named variables only — the
-// incremental session's model reader, which must not leak variables that
-// earlier queries blasted into the shared solver.
+// ModelFor extracts concrete values for the named variables only, so a
+// model holds exactly the variables of the query's canonical order.
 func (b *Blaster) ModelFor(names []string) map[string]uint64 {
 	m := make(map[string]uint64, len(names))
 	for _, name := range names {

@@ -53,11 +53,10 @@ type Options struct {
 	AutoValidityChecks bool
 	// CollectTests records one concrete input per completed path.
 	CollectTests bool
-	// Solver configures the solver acceleration subsystem (incremental
-	// sessions, normalized query memo, portfolio racing); the zero value
-	// enables everything. Acceleration is report-invariant: any setting
-	// produces byte-identical reports, only wall time and the
-	// non-comparable solver telemetry change.
+	// Solver configures the solver; the zero value enables the normalized
+	// query memo. The memo is report-invariant: with or without it the
+	// reports are byte-identical, only wall time and the non-comparable
+	// solver telemetry change.
 	Solver solver.Config
 }
 

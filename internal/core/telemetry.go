@@ -18,11 +18,12 @@ type ReportTelemetry struct {
 	// identical between cold parallel runs and incremental replays —
 	// which lets ComparableJSON keep them while dropping wall times.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Solver names the solver acceleration counters (session reuse, memo
-	// hits, portfolio winners, raw SAT search effort, solver wall time).
-	// Unlike Counters these are NOT deterministic — they depend on cache
-	// state and goroutine timing — so ComparableJSON drops them along
-	// with the stage wall times.
+	// Solver names the solver's memo and search counters (memo hits, raw
+	// SAT search effort, solver wall time). A sequential run repeats them
+	// exactly, apart from the wall time, but in a parallel run the
+	// submodels share one memo and which of them hits it first depends on
+	// scheduling. So ComparableJSON drops them along with the stage wall
+	// times.
 	Solver map[string]int64 `json:"solver,omitempty"`
 }
 
@@ -60,23 +61,19 @@ func fillTelemetry(rep *Report, opts Options, fromSource bool) {
 	rep.Telemetry = t
 }
 
-// accelCounters flattens the solver acceleration stats. These are the
-// p4assert_solver_* telemetry family: observability for the acceleration
-// subsystem, excluded from report comparability (see ReportTelemetry).
+// accelCounters flattens the solver's memo and search stats. These are
+// the p4assert_solver_* telemetry family, excluded from report
+// comparability (see ReportTelemetry).
 func accelCounters(m sym.Metrics) map[string]int64 {
 	a := m.Solver.Accel
 	return map[string]int64{
-		"session_reuse_hits":     a.SessionReuseHits,
-		"session_emitted":        a.SessionEmitted,
-		"memo_hits":              a.MemoHits,
-		"memo_shared_hits":       a.MemoSharedHits,
-		"portfolio_session_wins": a.PortfolioSessionWins,
-		"portfolio_fresh_wins":   a.PortfolioFreshWins,
-		"sat_decisions":          a.Decisions,
-		"sat_propagations":       a.Propagations,
-		"sat_conflicts":          a.Conflicts,
-		"sat_learned":            a.LearnedClauses,
-		"solver_wall_ns":         a.WallNS,
+		"memo_hits":        a.MemoHits,
+		"memo_shared_hits": a.MemoSharedHits,
+		"sat_decisions":    a.Decisions,
+		"sat_propagations": a.Propagations,
+		"sat_conflicts":    a.Conflicts,
+		"sat_learned":      a.LearnedClauses,
+		"solver_wall_ns":   a.WallNS,
 	}
 }
 

@@ -114,6 +114,33 @@ func TestComparableJSONDropsStagesKeepsCounters(t *testing.T) {
 	}
 }
 
+// Each full query runs on a fresh solver and nothing races, so a
+// sequential run's solver counters are a fixed function of the program.
+// Only the wall time may differ between two runs.
+func TestSolverCountersRepeatSequential(t *testing.T) {
+	for _, name := range []string{"dapper", "fabric"} {
+		p, err := progs.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]map[string]int64
+		for i := range runs {
+			rep, err := VerifySource(name+".p4", p.Source, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = rep.Telemetry.Solver
+			delete(runs[i], "solver_wall_ns")
+		}
+		if runs[0]["sat_propagations"] == 0 {
+			t.Errorf("%s: no SAT search recorded: %v", name, runs[0])
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s: solver counters differ between runs:\n  %v\n  %v", name, runs[0], runs[1])
+		}
+	}
+}
+
 // The acceptance criterion for the fabric trace: the span tree nests
 // correctly under the 12-way parallel split — one span per submodel,
 // each on its own lane, parented by the execute span and contained in

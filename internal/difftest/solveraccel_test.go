@@ -1,12 +1,11 @@
 package difftest
 
-// Corpus-wide solver-acceleration equivalence: for every corpus program
-// and technique shape, reports under the accelerated solver stack
-// (incremental sessions + normalized memo + portfolio racing) must be
-// byte-identical under ComparableJSON to the compat path with every
-// acceleration layer disabled. This is the acceptance gate that lets the
-// acceleration subsystem claim to be a pure performance change: verdicts,
-// counterexample models, and all comparable counters must not move.
+// Corpus-wide solver memo equivalence: for every corpus program and
+// technique shape, reports with the normalized memo must be byte-identical
+// under ComparableJSON to the reference path with the memo disabled. This
+// is the gate that lets the memo claim to be a pure performance change:
+// verdicts, counterexample models, and all comparable counters must not
+// move.
 
 import (
 	"testing"
@@ -17,14 +16,6 @@ import (
 )
 
 func TestSolverAccelerationEquivalenceCorpus(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  solver.Config
-	}{
-		{"session-only", solver.Config{DisablePortfolio: true}},
-		{"memo-only", solver.Config{DisableSession: true}},
-		{"portfolio", solver.Config{}},
-	}
 	shapes := []struct {
 		name string
 		opts core.Options
@@ -32,28 +23,23 @@ func TestSolverAccelerationEquivalenceCorpus(t *testing.T) {
 		{"parallel", core.Options{Parallel: 4}},
 		{"sequential-opt", core.Options{Opt: true}},
 	}
-	compat := solver.Config{DisableSession: true, DisableMemo: true, DisablePortfolio: true}
 
 	for _, p := range progs.All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			file := p.Name + ".p4"
 			for _, shape := range shapes {
-				base := shape.opts
-				base.Solver = compat
-				want, err := verifyCold(t, file, p.Source, base)
+				noMemo := shape.opts
+				noMemo.Solver = solver.Config{DisableMemo: true}
+				want, err := verifyCold(t, file, p.Source, noMemo)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, mode := range modes {
-					opts := shape.opts
-					opts.Solver = mode.cfg
-					got, err := verifyCold(t, file, p.Source, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustComparable(t, shape.name+"/"+mode.name, want, got)
+				got, err := verifyCold(t, file, p.Source, shape.opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				mustComparable(t, shape.name+"/memo", want, got)
 			}
 		})
 	}

@@ -116,56 +116,10 @@ func TestLearnedClauseRetention(t *testing.T) {
 	}
 }
 
-func TestStopReturnsUnknown(t *testing.T) {
-	s := New()
-	a := s.NewVar()
-	s.AddClause(MkLit(a, false))
-	s.Stop()
-	if got := s.SolveWith(nil); got != Unknown {
-		t.Fatalf("stopped solver returned %v, want Unknown", got)
-	}
-	s.ResetStop()
-	if got := s.SolveWith(nil); got != Sat {
-		t.Fatalf("after ResetStop got %v, want Sat", got)
-	}
-}
-
-func TestConcurrentStopTerminates(t *testing.T) {
-	// A hard instance cancelled from another goroutine must return; the
-	// verdict may be Unknown (stopped in time) or Unsat (finished first).
-	s := New()
-	const pigeons, holes = 9, 8
-	v := func(p, h int) int { return p*holes + h }
-	for i := 0; i < pigeons*holes; i++ {
-		s.NewVar()
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = MkLit(v(p, h), false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v(p1, h), true), MkLit(v(p2, h), true))
-			}
-		}
-	}
-	done := make(chan Outcome, 1)
-	go func() { done <- s.SolveWith(nil) }()
-	s.Stop()
-	if got := <-done; got == Sat {
-		t.Fatalf("pigeonhole cannot be SAT, got %v", got)
-	}
-}
-
 // TestRandomIncrementalAgainstBruteForce interleaves clause additions and
 // assumption-based solves on one long-lived solver and cross-checks every
-// verdict against enumeration — the soundness property session reuse
-// depends on: learned clauses must stay valid as clauses arrive and
-// assumptions change.
+// verdict against enumeration: learned clauses must stay valid as clauses
+// arrive and assumptions change.
 func TestRandomIncrementalAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 60; iter++ {
@@ -196,9 +150,6 @@ func TestRandomIncrementalAgainstBruteForce(t *testing.T) {
 			}
 			want, _ := bruteForce(n, ref)
 			got := s.SolveWith(assumps)
-			if got == Unknown {
-				t.Fatalf("iter %d round %d: unexpected Unknown", iter, round)
-			}
 			if (got == Sat) != want {
 				t.Fatalf("iter %d round %d: incremental=%v brute=%v cnf=%v assumps=%v",
 					iter, round, got, want, cnf, assumps)

@@ -16,8 +16,6 @@
 // bitvector layer (internal/bitblast) has reduced formulas to CNF.
 package sat
 
-import "sync/atomic"
-
 // Lit is a literal: variable index v (0-based) encoded as 2v for the
 // positive polarity and 2v+1 for the negative.
 type Lit int32
@@ -91,31 +89,25 @@ type Solver struct {
 	propags   int64
 	learned64 int64 // clauses learned over the solver's lifetime
 
-	model []lbool     // assignment captured at the last SAT answer
-	stop  atomic.Bool // cooperative abort flag, checked in the search loop
+	model []lbool // assignment captured at the last SAT answer
 
-	seen    []bool // scratch for conflict analysis
-	MaxConf int64  // optional conflict budget; 0 means unlimited
+	seen []bool // scratch for conflict analysis
 }
 
-// Outcome is the three-valued result of an incremental solve: Unknown is
-// returned when the conflict budget ran out or Stop aborted the search.
+// Outcome is the result of an incremental solve. The search always runs
+// to completion, so it is either Sat or Unsat.
 type Outcome int8
 
 const (
-	Unknown Outcome = iota
-	Sat
+	Sat Outcome = iota + 1
 	Unsat
 )
 
 func (o Outcome) String() string {
-	switch o {
-	case Sat:
+	if o == Sat {
 		return "sat"
-	case Unsat:
-		return "unsat"
 	}
-	return "unknown"
+	return "unsat"
 }
 
 // New returns an empty solver.
@@ -139,15 +131,6 @@ func (s *Solver) Stats() (int64, int64, int64) { return s.decisions, s.propags, 
 // Learned returns the number of clauses learned over the solver's lifetime
 // (including those since removed by database reduction).
 func (s *Solver) Learned() int64 { return s.learned64 }
-
-// Stop asks a running solve to abandon search; it returns Unknown. The
-// flag is sticky — the owner clears it with ResetStop before the next
-// solve. Safe to call from another goroutine (the portfolio racer's
-// cancellation path).
-func (s *Solver) Stop() { s.stop.Store(true) }
-
-// ResetStop re-arms a solver whose previous search was cancelled.
-func (s *Solver) ResetStop() { s.stop.Store(false) }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -488,9 +471,7 @@ func luby(i int64) int64 {
 }
 
 // Solve decides satisfiability of the accumulated clauses. It returns true
-// for SAT (a model is then available via Value) and false for UNSAT. If a
-// conflict budget was set and exhausted, Solve returns false with Okay()
-// still true.
+// for SAT (a model is then available via Value) and false for UNSAT.
 func (s *Solver) Solve() bool { return s.SolveWith(nil) == Sat }
 
 // SolveAssuming decides satisfiability under the given assumption
@@ -500,12 +481,11 @@ func (s *Solver) Solve() bool { return s.SolveWith(nil) == Sat }
 // retained across calls, and more clauses may be added between calls.
 func (s *Solver) SolveAssuming(assumps ...Lit) bool { return s.SolveWith(assumps) == Sat }
 
-// SolveWith is the full-featured incremental entry point: it decides
-// satisfiability under assumps (each enqueued as a decision at its own
-// level, MiniSat-style) and reports Unknown when the conflict budget ran
-// out or Stop cancelled the search. The trail is always unwound to level 0
-// before returning; on Sat the model is captured first and stays readable
-// via Value.
+// SolveWith is the incremental entry point: it decides satisfiability
+// under assumps, each enqueued as a decision at its own level
+// (MiniSat-style). The trail is always unwound to level 0 before
+// returning; on Sat the model is captured first and stays readable via
+// Value.
 func (s *Solver) SolveWith(assumps []Lit) Outcome {
 	if s.unsat {
 		return Unsat
@@ -534,9 +514,6 @@ func (s *Solver) SolveWith(assumps []Lit) Outcome {
 			return Unsat
 		}
 		s.cancelUntil(0)
-		if s.stop.Load() || (s.MaxConf > 0 && s.conflicts >= s.MaxConf) {
-			return Unknown
-		}
 		restart++
 		if restart%8 == 0 {
 			s.reduceDB()
@@ -546,9 +523,6 @@ func (s *Solver) SolveWith(assumps []Lit) Outcome {
 
 func (s *Solver) search(budget int64, assumps []Lit) lbool {
 	for n := int64(0); ; {
-		if s.stop.Load() {
-			return lUndef
-		}
 		confl := s.propagate()
 		if confl != nil {
 			s.conflicts++
@@ -562,7 +536,7 @@ func (s *Solver) search(budget int64, assumps []Lit) lbool {
 			s.record(learnt)
 			s.varInc *= 1.0 / 0.95
 			s.clauseInc *= 1.0 / 0.999
-			if n >= budget || (s.MaxConf > 0 && s.conflicts >= s.MaxConf) {
+			if n >= budget {
 				return lUndef
 			}
 			continue

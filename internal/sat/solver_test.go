@@ -232,36 +232,6 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestConflictBudget(t *testing.T) {
-	// A hard UNSAT instance with a tiny budget must return without hanging.
-	s := New()
-	s.MaxConf = 5
-	const pigeons, holes = 7, 6
-	v := func(p, h int) int { return p*holes + h }
-	for i := 0; i < pigeons*holes; i++ {
-		s.NewVar()
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = MkLit(v(p, h), false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v(p1, h), true), MkLit(v(p2, h), true))
-			}
-		}
-	}
-	s.Solve() // must terminate promptly; verdict unspecified under budget
-	_, _, conflicts := s.Stats()
-	if conflicts == 0 {
-		t.Fatal("expected some conflicts before budget exhaustion")
-	}
-}
-
 func TestAddClauseAtLevelZeroSimplifies(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()

@@ -139,17 +139,14 @@ func (m *Manager) recordReportMetrics(j *job, rep *core.Report) {
 	add("p4served_solver_full_total", "Queries that reached bit-blasting (layer 3), by technique.", "solver_full")
 	add("p4served_bitblast_vars_total", "SAT variables allocated by bit-blasting, by technique.", "bitblast_vars")
 	add("p4served_bitblast_clauses_total", "CNF clauses emitted by bit-blasting, by technique.", "bitblast_clauses")
-	// The solver acceleration family. These come from the non-comparable
-	// telemetry section: observability-only figures (cache state, race
-	// winners, raw search effort) that never enter report equivalence.
+	// The solver memo and search family. These come from the
+	// non-comparable telemetry section: observability-only figures (memo
+	// state, raw search effort) that never enter report equivalence.
 	acc := func(name, help, key string) {
 		m.reg.Counter(name, help, l).Add(rep.Telemetry.Solver[key])
 	}
-	acc("p4assert_solver_session_reuse_hits_total", "Conjunct circuits already live in an incremental solver session, by technique.", "session_reuse_hits")
 	acc("p4assert_solver_memo_hits_total", "Queries answered by the normalized query memo, by technique.", "memo_hits")
 	acc("p4assert_solver_memo_shared_hits_total", "Memo hits served by the run-wide shared tier, by technique.", "memo_shared_hits")
-	acc("p4assert_solver_portfolio_session_wins_total", "Full queries won by the incremental-session racer, by technique.", "portfolio_session_wins")
-	acc("p4assert_solver_portfolio_fresh_wins_total", "Full queries won by the fresh-blast racer, by technique.", "portfolio_fresh_wins")
 	acc("p4assert_solver_sat_decisions_total", "CDCL decisions, by technique.", "sat_decisions")
 	acc("p4assert_solver_sat_propagations_total", "CDCL unit propagations, by technique.", "sat_propagations")
 	acc("p4assert_solver_sat_conflicts_total", "CDCL conflicts, by technique.", "sat_conflicts")

@@ -21,7 +21,6 @@ var requiredFamilies = []string{
 	"p4served_stage_duration_seconds",
 	"p4served_paths_explored_total",
 	"p4served_solver_queries_total",
-	"p4assert_solver_session_reuse_hits_total",
 	"p4assert_solver_memo_hits_total",
 	"p4assert_solver_sat_decisions_total",
 	"p4served_queue_depth",

@@ -1,129 +1,40 @@
 package solver
 
-// Full-query acceleration: incremental sessions, portfolio racing, and
-// canonical model extraction.
+// Full (layer 3) queries: one fresh blast per query and canonical model
+// extraction.
 //
-// A session keeps one live sat.Solver plus one Blaster for the Checker's
-// whole lifetime. Each full query is solved *under assumptions*: every
-// conjunct is lowered to an indicator literal (its Tseitin output bit) and
-// the solver is asked for a model with all indicators true. Nothing is
-// ever asserted permanently, so the clause database stays globally
-// satisfiable, learned clauses remain valid for every later query, and
-// sibling paths — whose conditions share long prefixes — reuse both the
-// already-emitted circuits and the accumulated proof work.
-//
-// Portfolio mode races the session against a fresh blast-and-solve in two
-// goroutines and takes the first definitive answer, cancelling the loser
-// via sat.Solver.Stop. This is deterministic in everything the report can
-// observe because both racers compute the *same* answer: the verdict is
-// unique, and on SAT both extract the unique lexicographically-minimal
-// model over the canonical variable order. Only the non-comparable
-// telemetry (who won, search effort) depends on timing.
-//
-// The fresh racer also supplies the comparable BitblastVars/Clauses
-// counters: they are defined as the CNF size of blasting the canonical
-// conjuncts into an empty solver, a pure function of the query, identical
-// in every mode. In session-only mode a counting-only fresh blast keeps
-// those counters mode-independent.
+// Each full query bit-blasts its canonical conjuncts into a new
+// sat.Solver, searches once, and on SAT refines the model into the unique
+// lexicographically-minimal one over the canonical variable order. The
+// solver is dropped afterwards, so the answer is a pure function of the
+// query: a memo replay and a cold solve return the same verdict and the
+// same witness. The blast's CNF size, measured before search, defines the
+// comparable BitblastVars/Clauses counters.
 
 import (
-	"sync"
-
 	"p4assert/internal/bitblast"
-	"p4assert/internal/bv"
 	"p4assert/internal/sat"
 )
 
-// session is a Checker's long-lived incremental solving state.
-type session struct {
-	sat *sat.Solver
-	bl  *bitblast.Blaster
-}
-
-func newSession() *session {
+// solveFull decides one full query. It returns the canonical lex-min
+// model, nil when the query is UNSAT, and the blast's CNF size.
+func (c *Checker) solveFull(cq *canonQuery) (model map[string]uint64, vars, clauses int64) {
 	s := sat.New()
-	return &session{sat: s, bl: bitblast.New(s)}
-}
-
-// assume lowers the conjuncts to assumption literals, emitting circuits
-// only for expressions the live solver has not seen. reused counts the
-// conjuncts whose circuits were already present.
-func (ss *session) assume(conjs []*bv.Expr) (lits []sat.Lit, reused int) {
-	lits = make([]sat.Lit, len(conjs))
-	for i, e := range conjs {
-		if ss.bl.Seen(e) {
-			reused++
-		}
-		lits[i] = ss.bl.Lit(e)
-	}
-	return lits, reused
-}
-
-// fullAnswer is a definitive full-query outcome from one solving strategy.
-type fullAnswer struct {
-	outcome sat.Outcome
-	model   map[string]uint64 // canonical lex-min model; nil unless Sat
-	session bool              // answered by the incremental session
-}
-
-// freshRun owns a from-scratch solver for one query. The solver is
-// allocated before any goroutine starts so the main goroutine can cancel
-// it at any point in its life.
-type freshRun struct {
-	s             *sat.Solver
-	bl            *bitblast.Blaster
-	vars, clauses int64
-}
-
-func newFreshRun() *freshRun {
-	s := sat.New()
-	return &freshRun{s: s, bl: bitblast.New(s)}
-}
-
-// blast emits the canonical conjuncts and records the CNF size. Emission
-// is not cancellable, so the size counters are valid even when the run
-// loses the race mid-search.
-func (f *freshRun) blast(cq *canonQuery) {
+	bl := bitblast.New(s)
 	for _, e := range cq.conjs {
-		f.bl.AssertTrue(e)
+		bl.AssertTrue(e)
 	}
-	f.vars = int64(f.s.NumVars())
-	f.clauses = int64(f.s.NumClauses())
-}
-
-// solve runs the search and, on SAT, canonical model extraction.
-func (f *freshRun) solve(cq *canonQuery) fullAnswer {
-	if !f.s.Okay() {
-		return fullAnswer{outcome: sat.Unsat}
+	vars, clauses = int64(s.NumVars()), int64(s.NumClauses())
+	if s.SolveWith(nil) == sat.Sat {
+		model = extractCanonical(s, bl, cq)
 	}
-	out := f.s.SolveWith(nil)
-	if out != sat.Sat {
-		return fullAnswer{outcome: out}
-	}
-	model, ok := extractCanonical(f.s, f.bl, nil, cq)
-	if !ok {
-		return fullAnswer{outcome: sat.Unknown}
-	}
-	return fullAnswer{outcome: sat.Sat, model: model}
-}
-
-// solve runs the query on the live session under assumption literals.
-func (ss *session) solve(cq *canonQuery) (ans fullAnswer, reused int) {
-	lits, reused := ss.assume(cq.conjs)
-	if !ss.sat.Okay() {
-		// The session database is gates only and cannot become globally
-		// UNSAT; treat it as a cancelled run so the caller falls back.
-		return fullAnswer{outcome: sat.Unknown, session: true}, reused
-	}
-	out := ss.sat.SolveWith(lits)
-	if out != sat.Sat {
-		return fullAnswer{outcome: out, session: true}, reused
-	}
-	model, ok := extractCanonical(ss.sat, ss.bl, lits, cq)
-	if !ok {
-		return fullAnswer{outcome: sat.Unknown, session: true}, reused
-	}
-	return fullAnswer{outcome: sat.Sat, model: model, session: true}, reused
+	d, p, cf := s.Stats()
+	a := &c.Stats.Accel
+	a.Decisions += d
+	a.Propagations += p
+	a.Conflicts += cf
+	a.LearnedClauses += s.Learned()
+	return model, vars, clauses
 }
 
 // extractCanonical refines the solver's current model into the unique
@@ -131,13 +42,10 @@ func (ss *session) solve(cq *canonQuery) (ans fullAnswer, reused int) {
 // bits): for each bit in that order it fixes 0 when the current model
 // already has 0, and otherwise asks the solver whether 0 is still
 // consistent with the bits fixed so far. Because the minimal model is
-// unique, every strategy that completes returns byte-identical witnesses —
-// the keystone of the accel/compat and portfolio determinism argument.
-// base carries the query's assumption literals (empty for fresh runs).
-// ok=false means the search was cancelled mid-extraction.
-func extractCanonical(s *sat.Solver, bl *bitblast.Blaster, base []sat.Lit, cq *canonQuery) (map[string]uint64, bool) {
+// unique, a memo replay and a cold solve return byte-identical witnesses.
+func extractCanonical(s *sat.Solver, bl *bitblast.Blaster, cq *canonQuery) map[string]uint64 {
 	model := bl.ModelFor(cq.varOrder)
-	fix := append([]sat.Lit(nil), base...)
+	var fix []sat.Lit
 	for _, name := range cq.varOrder {
 		bits := bl.VarBits(name)
 		for i := len(bits) - 1; i >= 0; i-- {
@@ -146,124 +54,13 @@ func extractCanonical(s *sat.Solver, bl *bitblast.Blaster, base []sat.Lit, cq *c
 				continue
 			}
 			try := append(fix[:len(fix):len(fix)], bits[i].Not())
-			switch s.SolveWith(try) {
-			case sat.Sat:
+			if s.SolveWith(try) == sat.Sat {
 				model = bl.ModelFor(cq.varOrder)
 				fix = append(fix, bits[i].Not())
-			case sat.Unsat:
+			} else {
 				fix = append(fix, bits[i])
-			default:
-				return nil, false
 			}
 		}
 	}
-	return model, true
-}
-
-// solveFull decides one full (layer 3) query, returning the answer plus
-// the mode-independent fresh-blast CNF size.
-func (c *Checker) solveFull(cq *canonQuery) (fullAnswer, int64, int64) {
-	useSession := !c.Cfg.DisableSession
-	usePortfolio := useSession && !c.Cfg.DisablePortfolio
-
-	if !useSession {
-		f := newFreshRun()
-		f.blast(cq)
-		ans := f.solve(cq)
-		c.harvestFresh(f)
-		return ans, f.vars, f.clauses
-	}
-
-	if c.sess == nil {
-		c.sess = newSession()
-	}
-	c.sess.sat.ResetStop()
-
-	if !usePortfolio {
-		// Counting-only fresh blast: keeps BitblastVars/Clauses identical
-		// to every other mode without running a second search.
-		f := newFreshRun()
-		f.blast(cq)
-		ans, reused := c.sess.solve(cq)
-		c.noteSessionUse(cq, reused)
-		c.harvestSession()
-		if ans.outcome == sat.Unknown {
-			ans = f.solve(cq)
-		}
-		c.harvestFresh(f)
-		return ans, f.vars, f.clauses
-	}
-
-	// Portfolio race: session vs fresh.
-	f := newFreshRun()
-	results := make(chan fullAnswer, 2)
-	var reused int
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		ans, r := c.sess.solve(cq)
-		reused = r
-		results <- ans
-	}()
-	go func() {
-		defer wg.Done()
-		f.blast(cq)
-		results <- f.solve(cq)
-	}()
-	first := <-results
-	c.sess.sat.Stop()
-	f.s.Stop()
-	wg.Wait()
-	second := <-results
-
-	ans := first
-	if ans.outcome == sat.Unknown {
-		ans = second
-	} else if second.outcome != sat.Unknown && second.outcome != first.outcome {
-		// Racer disagreement would be a soundness bug; prefer the fresh
-		// run deterministically rather than whichever finished first.
-		if ans.session {
-			ans = second
-		}
-	}
-	c.noteSessionUse(cq, reused)
-	if ans.session {
-		c.Stats.Accel.PortfolioSessionWins++
-	} else {
-		c.Stats.Accel.PortfolioFreshWins++
-	}
-	c.harvestSession()
-	c.harvestFresh(f)
-	return ans, f.vars, f.clauses
-}
-
-func (c *Checker) noteSessionUse(cq *canonQuery, reused int) {
-	c.Stats.Accel.SessionReuseHits += int64(reused)
-	c.Stats.Accel.SessionEmitted += int64(len(cq.conjs) - reused)
-}
-
-// harvestSession folds the session solver's counter growth since the last
-// harvest into the accel stats.
-func (c *Checker) harvestSession() {
-	d, p, cf := c.sess.sat.Stats()
-	l := c.sess.sat.Learned()
-	a := &c.Stats.Accel
-	a.Decisions += d - c.lastSessDecisions
-	a.Propagations += p - c.lastSessPropagations
-	a.Conflicts += cf - c.lastSessConflicts
-	a.LearnedClauses += l - c.lastSessLearned
-	c.lastSessDecisions, c.lastSessPropagations = d, p
-	c.lastSessConflicts, c.lastSessLearned = cf, l
-}
-
-// harvestFresh folds a throwaway solver's full counters into the accel
-// stats.
-func (c *Checker) harvestFresh(f *freshRun) {
-	d, p, cf := f.s.Stats()
-	a := &c.Stats.Accel
-	a.Decisions += d
-	a.Propagations += p
-	a.Conflicts += cf
-	a.LearnedClauses += f.s.Learned()
+	return model
 }

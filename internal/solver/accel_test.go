@@ -91,7 +91,7 @@ func TestProbeBoundsEqOutsideBounds(t *testing.T) {
 	}
 }
 
-// --- acceleration layers -------------------------------------------------
+// --- memo ------------------------------------------------------------------
 
 // fullQuery builds a constraint set no quick tier can answer, over the
 // named variables (forces layer 3).
@@ -101,26 +101,6 @@ func fullQuery(ctx *bv.Context, xn, yn string, sum uint64) []*bv.Expr {
 	return []*bv.Expr{
 		ctx.Eq(ctx.Add(x, y), ctx.Const(8, sum)),
 		ctx.Ugt(x, y),
-	}
-}
-
-func TestSessionReuseAcrossSiblingQueries(t *testing.T) {
-	ctx := bv.NewContext()
-	c := New(ctx)
-	c.Cfg.DisableMemo = true // isolate the session layer
-	base := fullQuery(ctx, "x", "y", 7)
-	if res := c.Check(base); !res.Sat {
-		t.Fatal("base query should be SAT")
-	}
-	// A sibling path shares the base conjuncts and adds one more; the
-	// session must reuse their circuits.
-	z := ctx.Var("z", 8)
-	ext := append(append([]*bv.Expr(nil), base...), ctx.Eq(ctx.Add(z, ctx.Var("x", 8)), ctx.Const(8, 9)))
-	if res := c.Check(ext); !res.Sat {
-		t.Fatal("extended query should be SAT")
-	}
-	if c.Stats.Accel.SessionReuseHits == 0 {
-		t.Fatalf("sibling query reused no circuits: %+v", c.Stats.Accel)
 	}
 }
 
@@ -171,15 +151,13 @@ func TestSharedMemoTransfersAcrossRenaming(t *testing.T) {
 	}
 }
 
-// accelConfigs are the four meaningful acceleration modes.
+// accelConfigs are the two solver modes: with the memo and without it.
 var accelConfigs = []struct {
 	name string
 	cfg  Config
 }{
-	{"full-accel", Config{}},
-	{"session-only", Config{DisablePortfolio: true}},
-	{"memo-only", Config{DisableSession: true}},
-	{"compat", Config{DisableSession: true, DisableMemo: true, DisablePortfolio: true}},
+	{"memo", Config{}},
+	{"no-memo", Config{DisableMemo: true}},
 }
 
 // randomConstraint builds one width-4 constraint over vars drawn from
@@ -211,7 +189,7 @@ func randomConstraint(ctx *bv.Context, r *rand.Rand, names []string) *bv.Expr {
 
 // TestAccelerationEquivalenceProperty is the tier-drift property test:
 // over random query sequences (with shared prefixes, like path-condition
-// stacks), every acceleration mode must produce the identical Result
+// stacks), both solver modes must produce the identical Result
 // sequence — verdict, quickness, witness — and identical comparable
 // stats; every SAT witness must satisfy bv.Eval on all conjuncts; and
 // every verdict must agree with enumeration ground truth.

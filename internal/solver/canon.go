@@ -1,7 +1,7 @@
 package solver
 
 // Canonical query encoding: the normalized-memo key and the canonical
-// variable order the whole acceleration subsystem hangs off.
+// variable order that the memo and lex-min witness extraction hang off.
 //
 // Two constraint sets that differ only in variable naming and conjunct
 // order describe the same satisfiability problem — sibling paths and

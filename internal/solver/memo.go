@@ -27,11 +27,11 @@ type memoPair struct {
 // immutable after insertion — they are shared between goroutines and
 // between the local and run-wide tiers.
 type memoEntry struct {
-	sat   bool
-	quick bool     // answered by a quick tier (replays as QuickSAT/QuickUNSAT)
-	model []uint64 // canonical model by canonical var index; nil when !sat
-	vars  int64    // fresh-blast CNF size for full queries, replayed so the
-	clauses int64  // comparable bitblast counters stay mode-independent
+	sat     bool
+	quick   bool     // answered by a quick tier (replays as QuickSAT/QuickUNSAT)
+	model   []uint64 // canonical model by canonical var index; nil when !sat
+	vars    int64    // fresh-blast CNF size for full queries, replayed so the
+	clauses int64    // comparable bitblast counters match a cold solve
 }
 
 // Default capacities. The local tier keeps a Checker's recent working set;

@@ -12,21 +12,21 @@
 //     whole set and avoids the SAT solver entirely; interval/exclusion
 //     probing additionally refutes sets whose per-variable facts already
 //     conflict;
-//  4. bit-blasting to CNF and CDCL search (internal/bitblast, internal/sat),
-//     accelerated by incremental sessions and portfolio racing (accel.go).
+//  4. one fresh bit-blast to CNF and CDCL search per query
+//     (internal/bitblast, internal/sat), with a lex-min witness on SAT
+//     (accel.go).
 //
 // This mirrors the role of the solver stack under KLEE in the paper, where
 // most path-feasibility queries are shallow and only assertion checks on
 // arithmetic-heavy paths need real search. All layers return identical
 // verdicts and witnesses (full-path models are canonically minimal, see
-// accel.go), so acceleration never changes a report byte.
+// accel.go), so the memo never changes a report byte.
 package solver
 
 import (
 	"time"
 
 	"p4assert/internal/bv"
-	"p4assert/internal/sat"
 )
 
 // Result reports the outcome of a satisfiability check.
@@ -36,13 +36,10 @@ type Result struct {
 	Quick bool              // answered without invoking the SAT solver
 }
 
-// Config controls the acceleration subsystem. The zero value enables
-// everything; each layer can be disabled independently (portfolio racing
-// additionally requires sessions, its session racer).
+// Config controls the solver. The zero value enables the memo; disabling
+// it gives the reference path the equivalence tests compare against.
 type Config struct {
-	DisableSession   bool
-	DisableMemo      bool
-	DisablePortfolio bool
+	DisableMemo bool
 }
 
 // Stats counts solver activity for the paper's instruction/
@@ -56,41 +53,36 @@ type Stats struct {
 	// full (layer 3) queries: SAT variables allocated and problem clauses
 	// emitted by bit-blasting the canonical conjuncts into an empty
 	// solver, measured before search so the counts are a deterministic
-	// function of the query formulas — identical whichever acceleration
-	// mode actually answered.
+	// function of the query formulas — identical whether the query was
+	// solved or replayed from the memo.
 	BitblastVars    int64
 	BitblastClauses int64
-	// Accel counts acceleration-subsystem activity. Unlike the counters
-	// above it is not a deterministic function of (program, options) —
-	// memo hits depend on cache state, portfolio winners and search
-	// effort on goroutine timing — so it is excluded from report JSON
-	// and surfaced through the non-comparable telemetry section instead.
+	// Accel counts memo hits and raw SAT search effort. Unlike the
+	// counters above it is not a deterministic function of (program,
+	// options) — memo hits depend on cache state, which parallel runs
+	// share — so it is excluded from report JSON and surfaced through the
+	// non-comparable telemetry section instead.
 	Accel AccelStats `json:"-"`
 }
 
-// AccelStats counts acceleration activity and raw SAT search effort.
+// AccelStats counts memo hits and raw SAT search effort.
 type AccelStats struct {
-	SessionReuseHits     int64 // conjunct circuits already live in the session
-	SessionEmitted       int64 // conjunct circuits newly emitted into the session
-	MemoHits             int64 // queries answered by the normalized memo
-	MemoSharedHits       int64 // subset of MemoHits served by the run-wide tier
-	PortfolioSessionWins int64 // full queries won by the incremental session
-	PortfolioFreshWins   int64 // full queries won by the fresh-blast racer
-	Decisions            int64
-	Propagations         int64
-	Conflicts            int64
-	LearnedClauses       int64
-	WallNS               int64 // wall time spent inside Check
+	MemoHits       int64 // queries answered by the normalized memo
+	MemoSharedHits int64 // subset of MemoHits served by the run-wide tier
+	Decisions      int64
+	Propagations   int64
+	Conflicts      int64
+	LearnedClauses int64
+	WallNS         int64 // wall time spent inside Check
+
+	// Always zero; perfbench still reads them.
+	SessionReuseHits, PortfolioSessionWins, PortfolioFreshWins int64
 }
 
 // Add folds o into a, for aggregation across parallel submodel runs.
 func (a *AccelStats) Add(o AccelStats) {
-	a.SessionReuseHits += o.SessionReuseHits
-	a.SessionEmitted += o.SessionEmitted
 	a.MemoHits += o.MemoHits
 	a.MemoSharedHits += o.MemoSharedHits
-	a.PortfolioSessionWins += o.PortfolioSessionWins
-	a.PortfolioFreshWins += o.PortfolioFreshWins
 	a.Decisions += o.Decisions
 	a.Propagations += o.Propagations
 	a.Conflicts += o.Conflicts
@@ -99,7 +91,7 @@ func (a *AccelStats) Add(o AccelStats) {
 }
 
 // Checker decides constraint sets built in a single bv.Context. The zero
-// value is ready to use with full acceleration. A Checker is not safe for
+// value is ready to use, with the memo enabled. A Checker is not safe for
 // concurrent use; parallel submodel executions each own one (optionally
 // linked through a Shared memo, which is concurrency-safe).
 type Checker struct {
@@ -108,14 +100,8 @@ type Checker struct {
 	Cfg    Config
 	Shared *Memo // optional run-wide memo tier behind the private one
 
-	sess     *session
 	local    *Memo
 	encCache map[*bv.Expr]*localEnc
-
-	// Session solver counters at the last harvest, so per-query growth
-	// can be folded into Stats.Accel.
-	lastSessDecisions, lastSessPropagations int64
-	lastSessConflicts, lastSessLearned      int64
 }
 
 // New returns a Checker for expressions created in ctx.
@@ -178,20 +164,20 @@ func (c *Checker) Check(constraints []*bv.Expr) Result {
 		return c.quickSAT(cq, live, env)
 	}
 
-	// Layer 3: full bit-blasting, accelerated (accel.go).
+	// Layer 3: one fresh bit-blast and search (accel.go).
 	if cq == nil {
 		cq = canonicalize(live, c.encCacheMap())
 	}
 	c.Stats.FullQueries++
-	ans, vars, clauses := c.solveFull(cq)
+	model, vars, clauses := c.solveFull(cq)
 	c.Stats.BitblastVars += vars
 	c.Stats.BitblastClauses += clauses
-	if ans.outcome != sat.Sat {
+	if model == nil {
 		c.memoPut(cq, &memoEntry{vars: vars, clauses: clauses})
 		return Result{Sat: false}
 	}
-	c.memoPut(cq, &memoEntry{sat: true, model: canonValues(cq, ans.model), vars: vars, clauses: clauses})
-	return Result{Sat: true, Model: ans.model}
+	c.memoPut(cq, &memoEntry{sat: true, model: canonValues(cq, model), vars: vars, clauses: clauses})
+	return Result{Sat: true, Model: model}
 }
 
 func (c *Checker) encCacheMap() map[*bv.Expr]*localEnc {

@@ -63,9 +63,8 @@ type Options struct {
 	// path (the paper's §6 "ongoing work": systematic test-case
 	// generation, p4pktgen's role). Results appear in Result.Tests.
 	CollectTests bool
-	// Solver configures the solver acceleration subsystem (incremental
-	// sessions, normalized memo, portfolio racing). The zero value
-	// enables everything; acceleration never changes reported results.
+	// Solver configures the solver; the zero value enables the normalized
+	// memo, which never changes reported results.
 	Solver solver.Config
 	// SolverMemo, when non-nil, is a run-wide normalized memo shared
 	// across executors (the parallel submodels of one verification run),

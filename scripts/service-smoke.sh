@@ -64,8 +64,7 @@ curl -sf "$BASE/v1/metrics" >"$WORK/metrics.txt"
 for fam in p4served_jobs_submitted_total p4served_jobs_done_total \
            p4served_job_duration_seconds p4served_stage_duration_seconds \
            p4served_paths_explored_total p4served_solver_queries_total \
-           p4assert_solver_session_reuse_hits_total p4assert_solver_memo_hits_total \
-           p4assert_solver_sat_decisions_total \
+           p4assert_solver_memo_hits_total p4assert_solver_sat_decisions_total \
            p4served_queue_depth p4served_workers; do
     grep -q "^# TYPE $fam " "$WORK/metrics.txt" || {
         echo "FAIL: metric family $fam missing from /v1/metrics"; exit 1; }
