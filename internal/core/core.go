@@ -53,8 +53,8 @@ type Options struct {
 	AutoValidityChecks bool
 	// CollectTests records one concrete input per completed path.
 	CollectTests bool
-	// Solver configures the solver; the zero value enables the normalized
-	// query memo. The memo is report-invariant: with or without it the
+	// Solver configures the solver; the zero value enables the query memo
+	// (exact repeats, then normalized queries). The memo is report-invariant: with or without it the
 	// reports are byte-identical, only wall time and the non-comparable
 	// solver telemetry change.
 	Solver solver.Config

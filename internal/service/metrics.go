@@ -145,7 +145,7 @@ func (m *Manager) recordReportMetrics(j *job, rep *core.Report) {
 	acc := func(name, help, key string) {
 		m.reg.Counter(name, help, l).Add(rep.Telemetry.Solver[key])
 	}
-	acc("p4assert_solver_memo_hits_total", "Queries answered by the normalized query memo, by technique.", "memo_hits")
+	acc("p4assert_solver_memo_hits_total", "Queries answered by the query memo (exact or shared tier), by technique.", "memo_hits")
 	acc("p4assert_solver_memo_shared_hits_total", "Memo hits served by the run-wide shared tier, by technique.", "memo_shared_hits")
 	acc("p4assert_solver_sat_decisions_total", "CDCL decisions, by technique.", "sat_decisions")
 	acc("p4assert_solver_sat_propagations_total", "CDCL unit propagations, by technique.", "sat_propagations")

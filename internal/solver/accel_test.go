@@ -151,6 +151,131 @@ func TestSharedMemoTransfersAcrossRenaming(t *testing.T) {
 	}
 }
 
+// --- exact tier --------------------------------------------------------------
+
+// referenceCheck answers q on a fresh no-memo Checker: the result every
+// memo tier must reproduce.
+func referenceCheck(ctx *bv.Context, q []*bv.Expr) Result {
+	ref := New(ctx)
+	ref.Cfg.DisableMemo = true
+	return ref.Check(q)
+}
+
+func TestExactTierAnswersIdenticalRepeat(t *testing.T) {
+	ctx := bv.NewContext()
+	c := New(ctx)
+	c.Shared = NewMemo(64)
+	q := fullQuery(ctx, "x", "y", 7)
+	c.Check(q)
+	before := c.Stats.Accel
+	res := c.Check(append([]*bv.Expr(nil), q...))
+	if c.Stats.Accel.MemoHits != before.MemoHits+1 || c.Stats.Accel.MemoSharedHits != before.MemoSharedHits {
+		t.Fatalf("identical repeat should hit the exact tier: before %+v, after %+v", before, c.Stats.Accel)
+	}
+	if want := referenceCheck(ctx, q); !reflect.DeepEqual(res, want) {
+		t.Fatalf("exact-tier replay changed the result:\ngot:  %+v\nwant: %+v", res, want)
+	}
+}
+
+func TestPermutedRepeatFallsThroughToShared(t *testing.T) {
+	ctx := bv.NewContext()
+	c := New(ctx)
+	c.Shared = NewMemo(64)
+	q := fullQuery(ctx, "x", "y", 7)
+	c.Check(q)
+	before := c.Stats.Accel
+	perm := []*bv.Expr{q[1], q[0]}
+	res := c.Check(perm)
+	if c.Stats.Accel.MemoHits != before.MemoHits+1 || c.Stats.Accel.MemoSharedHits != before.MemoSharedHits+1 {
+		t.Fatalf("permuted repeat should miss the exact tier and hit Shared: before %+v, after %+v",
+			before, c.Stats.Accel)
+	}
+	if want := referenceCheck(ctx, perm); !reflect.DeepEqual(res, want) {
+		t.Fatalf("shared replay changed the result:\ngot:  %+v\nwant: %+v", res, want)
+	}
+	// The shared hit is now in the exact tier.
+	before = c.Stats.Accel
+	c.Check(perm)
+	if c.Stats.Accel.MemoHits != before.MemoHits+1 || c.Stats.Accel.MemoSharedHits != before.MemoSharedHits {
+		t.Fatalf("second permuted repeat should hit the exact tier: before %+v, after %+v",
+			before, c.Stats.Accel)
+	}
+}
+
+func TestExactTierStaysBounded(t *testing.T) {
+	ctx := bv.NewContext()
+	c := New(ctx)
+	x := ctx.Var("x", 16)
+	y := ctx.Var("y", 16)
+	query := func(i int) []*bv.Expr {
+		return []*bv.Expr{ctx.Ult(ctx.Const(16, uint64(i)), x), ctx.Ne(y, ctx.Const(16, uint64(i)))}
+	}
+	n := exactMemoCap + exactMemoCap/2
+	peak := 0
+	for i := 0; i < n; i++ {
+		q := query(i)
+		if got, want := c.Check(q), referenceCheck(ctx, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: got %+v, want %+v", i, got, want)
+		}
+		if len(c.exact) > exactMemoCap {
+			t.Fatalf("exact tier grew to %d entries, cap %d", len(c.exact), exactMemoCap)
+		}
+		peak = max(peak, len(c.exact))
+	}
+	if peak != exactMemoCap {
+		t.Fatalf("exact tier peaked at %d entries, want the cap %d", peak, exactMemoCap)
+	}
+	// Queries from before and after the reset still answer correctly.
+	for _, i := range []int{0, exactMemoCap - 1, n - 1} {
+		q := query(i)
+		if got, want := c.Check(q), referenceCheck(ctx, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("repeat of query %d: got %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func TestDisableMemoCachesNothing(t *testing.T) {
+	ctx := bv.NewContext()
+	c := New(ctx)
+	c.Cfg.DisableMemo = true
+	c.Shared = NewMemo(64)
+	q := fullQuery(ctx, "x", "y", 7)
+	for i := 0; i < 3; i++ {
+		if got, want := c.Check(q), referenceCheck(ctx, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("check %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	if c.Stats.Accel.MemoHits != 0 || len(c.exact) != 0 || c.Shared.Len() != 0 {
+		t.Fatalf("DisableMemo cached something: hits %d, exact %d, shared %d",
+			c.Stats.Accel.MemoHits, len(c.exact), c.Shared.Len())
+	}
+	if c.Stats.FullQueries != 3 {
+		t.Fatalf("every check should be solved: %+v", c.Stats)
+	}
+}
+
+// TestExactTierConfirmsConjunctPointers feeds one Checker two queries
+// from different contexts whose conjuncts have the same IDs but different
+// structure. IDs are unique only within a context, so the second query
+// must be decided on its own, not replayed from the first.
+func TestExactTierConfirmsConjunctPointers(t *testing.T) {
+	ctxA, ctxB := bv.NewContext(), bv.NewContext()
+	qa := []*bv.Expr{ctxA.Eq(ctxA.Var("x", 8), ctxA.Const(8, 5))}
+	qb := []*bv.Expr{ctxB.Ult(ctxB.Var("x", 8), ctxB.Const(8, 5))}
+	if qa[0].ID() != qb[0].ID() {
+		t.Fatalf("precondition: conjunct IDs differ (%d vs %d)", qa[0].ID(), qb[0].ID())
+	}
+	c := New(ctxA)
+	c.Check(qa)
+	got := c.Check(qb)
+	if c.Stats.Accel.MemoHits != 0 {
+		t.Fatalf("query from another context was replayed: %+v", c.Stats.Accel)
+	}
+	if want := referenceCheck(ctxB, qb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
 // accelConfigs are the two solver modes: with the memo and without it.
 var accelConfigs = []struct {
 	name string

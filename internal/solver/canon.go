@@ -37,6 +37,7 @@ import (
 // canonQuery is the canonical form of one live constraint set.
 type canonQuery struct {
 	key      string
+	live     []*bv.Expr // conjuncts in query order (the exact-tier identity)
 	conjs    []*bv.Expr // conjuncts in canonical order
 	varOrder []string   // actual variable names by canonical index
 	widths   []int      // widths matching varOrder
@@ -124,7 +125,7 @@ func canonicalize(live []*bv.Expr, cache map[*bv.Expr]*localEnc) *canonQuery {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return encs[order[a]].enc < encs[order[b]].enc })
 
-	cq := &canonQuery{conjs: make([]*bv.Expr, len(live))}
+	cq := &canonQuery{live: live, conjs: make([]*bv.Expr, len(live))}
 	varNum := map[string]int{}
 	var sb strings.Builder
 	for ci, oi := range order {

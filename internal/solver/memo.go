@@ -9,8 +9,9 @@ import (
 // keyed by the canonical encoding (canon.go), so a hit transfers across
 // variable renamings and conjunct permutations. The cache is safe for
 // concurrent use: one Memo is shared per verification run across all
-// parallel submodel Checkers as the second lookup tier behind each
-// Checker's private memo.
+// parallel submodel Checkers. It is the second lookup tier, consulted
+// only when a Checker's exact tier (repeats of the same conjuncts in the
+// same order) misses.
 type Memo struct {
 	mu      sync.Mutex
 	cap     int
@@ -25,7 +26,7 @@ type memoPair struct {
 
 // memoEntry replays one Check outcome without re-solving. Entries are
 // immutable after insertion — they are shared between goroutines and
-// between the local and run-wide tiers.
+// between the exact and run-wide tiers.
 type memoEntry struct {
 	sat     bool
 	quick   bool     // answered by a quick tier (replays as QuickSAT/QuickUNSAT)
@@ -34,12 +35,9 @@ type memoEntry struct {
 	clauses int64    // comparable bitblast counters match a cold solve
 }
 
-// Default capacities. The local tier keeps a Checker's recent working set;
-// the shared tier is sized for a whole corpus run.
-const (
-	localMemoCap  = 1 << 12
-	SharedMemoCap = 1 << 16
-)
+// SharedMemoCap is the default capacity of a run-wide memo, sized for a
+// whole corpus run.
+const SharedMemoCap = 1 << 16
 
 // NewMemo returns a Memo bounded to capacity entries (minimum 1).
 func NewMemo(capacity int) *Memo {

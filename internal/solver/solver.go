@@ -3,9 +3,12 @@
 //
 //  1. constant inspection — a constraint already folded to false is UNSAT,
 //     and a set folded entirely to true is trivially SAT;
-//  2. a normalized memo (memo.go) — repeated query shapes, modulo variable
-//     naming and conjunct order, replay their verdict, witness and stats
-//     without any solving;
+//  2. the memo (memo.go), in two tiers — an exact tier keyed by the
+//     ordered conjunct identities replays a repeated query without
+//     canonicalizing it; on a miss the query is canonicalized and looked
+//     up in the run-wide Shared memo, which matches repeats modulo
+//     variable naming and conjunct order across submodels. A hit replays
+//     the verdict, witness and stats without any solving;
 //  3. assignment guessing — path conditions of P4 models are dominated by
 //     equalities between fields and constants, so a model assembled from
 //     those equalities (all other variables zero) very often satisfies the
@@ -24,6 +27,7 @@
 package solver
 
 import (
+	"slices"
 	"time"
 
 	"p4assert/internal/bv"
@@ -67,7 +71,7 @@ type Stats struct {
 
 // AccelStats counts memo hits and raw SAT search effort.
 type AccelStats struct {
-	MemoHits       int64 // queries answered by the normalized memo
+	MemoHits       int64 // queries answered by the memo (either tier)
 	MemoSharedHits int64 // subset of MemoHits served by the run-wide tier
 	Decisions      int64
 	Propagations   int64
@@ -98,11 +102,23 @@ type Checker struct {
 	Ctx    *bv.Context
 	Stats  Stats
 	Cfg    Config
-	Shared *Memo // optional run-wide memo tier behind the private one
+	Shared *Memo // optional run-wide memo tier behind the exact tier
 
-	local    *Memo
+	exact    map[uint64]*exactEntry // keyed by exactKey of the live conjuncts
 	encCache map[*bv.Expr]*localEnc
 }
+
+// exactEntry is one exact-tier slot: a query's canonical form, whose
+// live field holds the conjuncts in the order they were asked, and the
+// outcome it produced.
+type exactEntry struct {
+	cq *canonQuery
+	e  *memoEntry
+}
+
+// exactMemoCap bounds the exact tier; a full tier is cleared rather than
+// evicted entry by entry, since one execution rarely reaches the cap.
+const exactMemoCap = 1 << 12
 
 // New returns a Checker for expressions created in ctx.
 func New(ctx *bv.Context) *Checker { return &Checker{Ctx: ctx} }
@@ -115,7 +131,7 @@ func (c *Checker) Check(constraints []*bv.Expr) Result {
 	defer func() { c.Stats.Accel.WallNS += time.Since(t0).Nanoseconds() }()
 
 	// Layer 1: constant inspection.
-	live := constraints[:0:0]
+	live := make([]*bv.Expr, 0, len(constraints))
 	for _, e := range constraints {
 		if e.IsFalse() {
 			c.Stats.QuickUNSAT++
@@ -130,13 +146,18 @@ func (c *Checker) Check(constraints []*bv.Expr) Result {
 		return Result{Sat: true, Model: map[string]uint64{}, Quick: true}
 	}
 
-	// Layer 1.5: normalized memo. Quick tiers are deterministic and
-	// equivariant under renaming, so their outcomes are memoizable too —
-	// a hit replays the exact stats delta the original tier produced.
+	// Layer 1.5: memo. Quick tiers are deterministic and equivariant
+	// under renaming, so their outcomes are memoizable too — a hit
+	// replays the exact stats delta the original tier produced. The exact
+	// tier answers a repeat of the same conjuncts in the same order
+	// without canonicalizing; only its misses pay for the canonical key.
 	var cq *canonQuery
 	if !c.Cfg.DisableMemo {
-		cq = c.canon(live)
-		if e := c.memoGet(cq.key); e != nil {
+		if x := c.exact[exactKey(live)]; x != nil && slices.Equal(x.cq.live, live) {
+			return c.replay(x.cq, x.e)
+		}
+		cq = canonicalize(live, c.encCacheMap())
+		if e := c.sharedGet(cq); e != nil {
 			return c.replay(cq, e)
 		}
 	}
@@ -185,10 +206,6 @@ func (c *Checker) encCacheMap() map[*bv.Expr]*localEnc {
 		c.encCache = map[*bv.Expr]*localEnc{}
 	}
 	return c.encCache
-}
-
-func (c *Checker) canon(live []*bv.Expr) *canonQuery {
-	return canonicalize(live, c.encCacheMap())
 }
 
 // quickSAT records a quick-tier witness, memoizing it in canonical form.
@@ -240,31 +257,46 @@ func namedModel(cq *canonQuery, vals []uint64) map[string]uint64 {
 	return m
 }
 
-func (c *Checker) memoGet(key string) *memoEntry {
-	if c.local == nil {
-		c.local = NewMemo(localMemoCap)
+// exactKey hashes the ordered conjunct identities (FNV-1a over the IDs).
+// IDs are unique only within one bv.Context, so a match must still be
+// confirmed by comparing the conjunct pointers.
+func exactKey(live []*bv.Expr) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range live {
+		h = (h ^ e.ID()) * 1099511628211
 	}
-	if e := c.local.get(key); e != nil {
-		return e
+	return h
+}
+
+// sharedGet looks cq up in the run-wide memo and, on a hit, records it in
+// the exact tier so the next repeat skips canonicalization.
+func (c *Checker) sharedGet(cq *canonQuery) *memoEntry {
+	if c.Shared == nil {
+		return nil
 	}
-	if c.Shared != nil {
-		if e := c.Shared.get(key); e != nil {
-			c.local.put(key, e)
-			c.Stats.Accel.MemoSharedHits++
-			return e
-		}
+	e := c.Shared.get(cq.key)
+	if e != nil {
+		c.Stats.Accel.MemoSharedHits++
+		c.putExact(cq, e)
 	}
-	return nil
+	return e
 }
 
 func (c *Checker) memoPut(cq *canonQuery, e *memoEntry) {
 	if cq == nil || c.Cfg.DisableMemo {
 		return
 	}
-	c.local.put(cq.key, e)
+	c.putExact(cq, e)
 	if c.Shared != nil {
 		c.Shared.put(cq.key, e)
 	}
+}
+
+func (c *Checker) putExact(cq *canonQuery, e *memoEntry) {
+	if c.exact == nil || len(c.exact) >= exactMemoCap {
+		c.exact = make(map[uint64]*exactEntry)
+	}
+	c.exact[exactKey(cq.live)] = &exactEntry{cq: cq, e: e}
 }
 
 // guessFromEqualities walks top-level conjunctions collecting var == const

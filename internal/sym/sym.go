@@ -63,12 +63,13 @@ type Options struct {
 	// path (the paper's §6 "ongoing work": systematic test-case
 	// generation, p4pktgen's role). Results appear in Result.Tests.
 	CollectTests bool
-	// Solver configures the solver; the zero value enables the normalized
-	// memo, which never changes reported results.
+	// Solver configures the solver; the zero value enables the memo,
+	// which never changes reported results.
 	Solver solver.Config
 	// SolverMemo, when non-nil, is a run-wide normalized memo shared
 	// across executors (the parallel submodels of one verification run),
-	// a second lookup tier behind each Checker's private memo.
+	// the second lookup tier behind the Checker's exact tier. Without it
+	// only exact repeats within this execution hit the memo.
 	SolverMemo *solver.Memo
 }
 
