@@ -37,6 +37,32 @@ func TestInterning(t *testing.T) {
 	if c.Eq(x, y) != c.Eq(y, x) {
 		t.Fatal("commuted Eq not canonicalized")
 	}
+
+	// Variables and structural nodes draw IDs from one counter, in
+	// construction order; repeats take none. Commutative operand order
+	// and the solver's exact-tier keys follow these IDs.
+	d := NewContext()
+	k := d.Const(8, 5)
+	v := d.Var("v", 8)
+	sum := d.Add(v, k)
+	u := d.Var("u", 8)
+	d.Var("v", 8)
+	d.Const(8, 5)
+	prod := d.Mul(u, v)
+	ext := d.Extract(u, 3, 0)
+	got := []uint64{k.ID(), v.ID(), sum.ID(), u.ID(), prod.ID(), ext.ID()}
+	want := []uint64{1, 2, 3, 4, 5, 6}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("IDs %v, want %v", got, want)
+		}
+	}
+	if prod.Args[0] != v || prod.Args[1] != u {
+		t.Fatalf("u*v operands ordered %v, %v; want the older v first", prod.Args[0], prod.Args[1])
+	}
+	if d.Extract(u, 3, 0) != ext || d.Extract(u, 4, 1) == ext {
+		t.Fatal("extract bounds not part of the interning key")
+	}
 }
 
 func TestVarRedeclarePanics(t *testing.T) {

@@ -15,14 +15,19 @@ type Context struct {
 	vars   map[string]*Expr
 }
 
-// exprKey identifies a node structurally, using child identities.
+// exprKey identifies a non-variable node structurally, using child
+// identities. Variables intern by name instead (Context.vars). tag packs
+// the operator, width and extract bounds, each under 256, into one word:
+// the key is five words with no padding, so it hashes as one block of
+// memory.
 type exprKey struct {
-	op         Op
-	width      int
+	tag        uint64
 	val        uint64
-	name       string
-	hi, lo     int
 	a0, a1, a2 uint64
+}
+
+func keyTag(op Op, width, hi, lo int) uint64 {
+	return uint64(op) | uint64(width)<<8 | uint64(hi)<<16 | uint64(lo)<<24
 }
 
 // NewContext returns an empty expression context.
@@ -32,9 +37,6 @@ func NewContext() *Context {
 		vars:   make(map[string]*Expr, 64),
 	}
 }
-
-// NumNodes returns how many distinct nodes this context has interned.
-func (c *Context) NumNodes() int { return len(c.intern) }
 
 func (c *Context) get(k exprKey, mk func() *Expr) *Expr {
 	if e, ok := c.intern[k]; ok {
@@ -57,7 +59,7 @@ func checkWidth(w int) {
 func (c *Context) Const(width int, v uint64) *Expr {
 	checkWidth(width)
 	v &= Mask(width)
-	k := exprKey{op: OpConst, width: width, val: v}
+	k := exprKey{tag: keyTag(OpConst, width, 0, 0), val: v}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpConst, Width: width, Val: v}
 	})
@@ -87,16 +89,14 @@ func (c *Context) Var(name string, width int) *Expr {
 		}
 		return e
 	}
-	k := exprKey{op: OpVar, width: width, name: name}
-	e := c.get(k, func() *Expr {
-		return &Expr{Op: OpVar, Width: width, Name: name}
-	})
+	c.nextID++
+	e := &Expr{Op: OpVar, Width: width, Name: name, id: c.nextID}
 	c.vars[name] = e
 	return e
 }
 
 func (c *Context) binKey(op Op, w int, a, b *Expr) exprKey {
-	return exprKey{op: op, width: w, a0: a.id, a1: b.id}
+	return exprKey{tag: keyTag(op, w, 0, 0), a0: a.id, a1: b.id}
 }
 
 func (c *Context) mkBin(op Op, w int, a, b *Expr) *Expr {
@@ -121,7 +121,7 @@ func (c *Context) Not(a *Expr) *Expr {
 	}
 	// De-Morgan-free simplification for comparisons at width 1:
 	// ~(a==b) etc. stays as-is; bitblast handles it cheaply.
-	k := exprKey{op: OpNot, width: a.Width, a0: a.id}
+	k := exprKey{tag: keyTag(OpNot, a.Width, 0, 0), a0: a.id}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpNot, Width: a.Width, Args: []*Expr{a}}
 	})
@@ -451,7 +451,7 @@ func (c *Context) Ite(cond, a, b *Expr) *Expr {
 			return c.And(cond, a)
 		}
 	}
-	k := exprKey{op: OpIte, width: a.Width, a0: cond.id, a1: a.id, a2: b.id}
+	k := exprKey{tag: keyTag(OpIte, a.Width, 0, 0), a0: cond.id, a1: a.id, a2: b.id}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpIte, Width: a.Width, Args: []*Expr{cond, a, b}}
 	})
@@ -467,7 +467,7 @@ func (c *Context) Concat(hi, lo *Expr) *Expr {
 	if hi.Op == OpConst && hi.Val == 0 {
 		return c.ZeroExt(lo, w)
 	}
-	k := exprKey{op: OpConcat, width: w, a0: hi.id, a1: lo.id}
+	k := exprKey{tag: keyTag(OpConcat, w, 0, 0), a0: hi.id, a1: lo.id}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpConcat, Width: w, Args: []*Expr{hi, lo}}
 	})
@@ -506,7 +506,7 @@ func (c *Context) Extract(a *Expr, hi, lo int) *Expr {
 	if a.Op == OpExtract {
 		return c.Extract(a.Args[0], a.Lo+hi, a.Lo+lo)
 	}
-	k := exprKey{op: OpExtract, width: w, hi: hi, lo: lo, a0: a.id}
+	k := exprKey{tag: keyTag(OpExtract, w, hi, lo), a0: a.id}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpExtract, Width: w, Hi: hi, Lo: lo, Args: []*Expr{a}}
 	})
@@ -527,7 +527,7 @@ func (c *Context) ZeroExt(a *Expr, width int) *Expr {
 	if a.Op == OpZext {
 		a = a.Args[0]
 	}
-	k := exprKey{op: OpZext, width: width, a0: a.id}
+	k := exprKey{tag: keyTag(OpZext, width, 0, 0), a0: a.id}
 	return c.get(k, func() *Expr {
 		return &Expr{Op: OpZext, Width: width, Args: []*Expr{a}}
 	})

@@ -124,7 +124,10 @@ const exactMemoCap = 1 << 12
 func New(ctx *bv.Context) *Checker { return &Checker{Ctx: ctx} }
 
 // Check decides whether the conjunction of constraints is satisfiable.
-// Every constraint must have width 1.
+// Every constraint must have width 1. Check never retains the constraints
+// slice (the memo keeps its own copy), so the caller may overwrite it
+// once Check returns: the executor reuses a path condition's backing array
+// after backtracking.
 func (c *Checker) Check(constraints []*bv.Expr) Result {
 	c.Stats.Queries++
 	t0 := time.Now()

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -155,6 +156,40 @@ func TestCheckAgainstBruteForce(t *testing.T) {
 					t.Fatalf("iter %d: model %v fails %s", iter, res.Model, e)
 				}
 			}
+		}
+	}
+}
+
+// TestCheckDoesNotRetainConstraints pins Check's aliasing contract: the
+// executor reuses a path condition's backing array after backtracking, so
+// overwriting the caller's slice after a Check must not corrupt the exact
+// memo tier. A repeat of the original query must still hit it, and the
+// overwritten query must be decided on its own.
+func TestCheckDoesNotRetainConstraints(t *testing.T) {
+	ctx := bv.NewContext()
+	x, y := ctx.Var("x", 8), ctx.Var("y", 8)
+	queries := [][]*bv.Expr{
+		{ctx.Eq(x, ctx.Const(8, 1)), ctx.Eq(y, ctx.Const(8, 2))},
+		{ctx.Eq(ctx.Mul(x, y), ctx.Const(8, 35)), ctx.Ult(ctx.Const(8, 5), x)},
+	}
+	for i, orig := range queries {
+		c := New(ctx)
+		q := append([]*bv.Expr(nil), orig...)
+		first := c.Check(q)
+		if !first.Sat {
+			t.Fatalf("query %d: want SAT", i)
+		}
+		q[0], q[1] = ctx.Eq(x, ctx.Const(8, 3)), ctx.Eq(x, ctx.Const(8, 4))
+		if res := c.Check(q); res.Sat || c.Stats.Accel.MemoHits != 0 {
+			t.Fatalf("query %d: overwritten query: sat=%v memo hits=%d, want UNSAT without a hit",
+				i, res.Sat, c.Stats.Accel.MemoHits)
+		}
+		again := c.Check(append([]*bv.Expr(nil), orig...))
+		if c.Stats.Accel.MemoHits != 1 {
+			t.Fatalf("query %d: repeat got %d memo hits, want 1 exact-tier hit", i, c.Stats.Accel.MemoHits)
+		}
+		if !again.Sat || !maps.Equal(again.Model, first.Model) {
+			t.Fatalf("query %d: repeat %+v, want %+v", i, again, first)
 		}
 	}
 }

@@ -8,12 +8,18 @@
 // checks ask the solver for an input violating the assertion under the path
 // condition; a satisfying model becomes the reported counterexample packet.
 //
-// A path's state is laid out so that forking it is cheap: the store is a
-// slice indexed by each global's position in Program.Globals and the call
-// depths a slice indexed by function, both resolved from names once per
-// Execute, so a fork copies flat slices; the per-hint draw counters are
-// shared copy-on-write between a state and its clones and copied only when
-// a path draws again.
+// Exploration is depth-first and backtracking: one Execute runs every path
+// on a single mutable state and never copies it per branch. A fork decides
+// all its branches' feasibility up front, enters the first and pushes a
+// choice that records the state at the fork: the frames and call depths,
+// and the lengths of the path condition, trace and assertion log, which a
+// path only appends to. While a choice is open, store assignments go into
+// an undo log. When a path ends, the newest choice undoes the log, truncates
+// the slices, restores the frames and enters its next branch. The store is
+// a slice indexed by each global's position in Program.Globals and the
+// call depths a slice indexed by function, both resolved from names once
+// per Execute; the per-hint draw counters are shared copy-on-write with
+// the open choices and copied only when a path draws again.
 //
 // The executor also implements the paper's measurement hooks: executed
 // instruction counts (§5.5 metric ii) and path statistics.
@@ -157,9 +163,9 @@ type Metrics struct {
 	Instructions     int64 // model statements executed
 	Forks            int64
 	AssertChecks     int64 // assertion check sites evaluated
-	// MaxFrontier is the peak size of the DFS worklist: how many
-	// suspended states coexisted at the widest point of exploration (the
-	// executor's memory high-water mark, in states).
+	// MaxFrontier is the peak size of the DFS frontier: the running path
+	// plus the fork branches still pending at the widest point of
+	// exploration.
 	MaxFrontier int64
 	Solver      solver.Stats
 }
@@ -200,7 +206,9 @@ type frame struct {
 	isBlock bool
 }
 
-// state is one execution path's state.
+// state is the path state. One Execute owns a single state: it runs one
+// path at a time, and a choice rewinds it to a fork to run the fork's next
+// branch.
 type state struct {
 	// store holds each global's value, indexed by its slot (its position
 	// in Program.Globals).
@@ -221,7 +229,7 @@ type state struct {
 	// composed models extract the same field (internal/equiv), their k-th
 	// draws share one symbolic variable — the same packet byte.
 	draws []int
-	// drawsShared marks draws as shared with a clone: the next draw
+	// drawsShared marks draws as shared with an open choice: the next draw
 	// copies it before counting.
 	drawsShared bool
 	// lastModel caches a satisfying assignment for pc (Opt mode).
@@ -238,21 +246,39 @@ type pathCheck struct {
 	cond *bv.Expr
 }
 
-func (s *state) clone() *state {
-	s.drawsShared = s.draws != nil
-	return &state{
-		store:       append([]*bv.Expr(nil), s.store...),
-		pc:          append([]*bv.Expr(nil), s.pc...),
-		frames:      append([]frame(nil), s.frames...),
-		entryIdx:    s.entryIdx,
-		halted:      s.halted,
-		trace:       append([]string(nil), s.trace...),
-		depth:       append([]int(nil), s.depth...),
-		draws:       s.draws,
-		drawsShared: s.drawsShared,
-		lastModel:   s.lastModel,
-		checks:      s.checks[:len(s.checks):len(s.checks)],
-	}
+// branch is one feasible successor of a fork, decided when the fork is
+// reached: what entering it adds to the state at the fork.
+type branch struct {
+	cond    *bv.Expr          // conjunct appended to pc, or nil
+	witness map[string]uint64 // the path's lastModel on entry
+	label   string            // trace entry, or ""
+	fn      int
+	body    []model.Stmt
+}
+
+// choice is a fork with branches still to run: the state as it was at the
+// fork (slices by length, since the path only appends to them after it)
+// and the branches left.
+type choice struct {
+	frames    []frame
+	depth     []int
+	entryIdx  int
+	halted    bool
+	pcLen     int
+	traceLen  int
+	checksLen int
+	writesLen int
+	draws     []int
+	lastModel map[string]uint64
+	branches  []branch
+	next      int // index in branches of the next branch to enter
+}
+
+// write is one undo-log entry: a store slot and its value before an
+// assignment.
+type write struct {
+	slot int
+	old  *bv.Expr
 }
 
 type executor struct {
@@ -271,10 +297,23 @@ type executor struct {
 	funcs  map[string]int
 	bodies [][]model.Stmt
 	// hints maps each MakeSymbolic hint to its slot in state.draws,
-	// assigned when the hint is first drawn.
+	// assigned when the hint is first drawn; drawn[h][k-1] caches the
+	// variable of hint slot h's k-th draw.
 	hints map[string]int
+	drawn [][]*bv.Expr
+	// labels caches each Fork's trace entries ("selector=label").
+	labels map[*model.Fork][]string
 	// egress caches the model's egress-port global name (CollectTests).
 	egress string
+
+	// choices is the DFS stack of forks with branches left; entries past
+	// its length keep their buffers for reuse. pending counts the
+	// branches not yet entered across all choices. writes logs store
+	// assignments while any choice is open, so backtracking can undo them.
+	choices  []choice
+	pending  int64
+	writes   []write
+	branches []branch // run's result buffer, valid until the next run
 }
 
 // Execute symbolically runs the program over all paths.
@@ -284,14 +323,15 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 	}
 	ctx := bv.NewContext()
 	ex := &executor{
-		p:     p,
-		opts:  opts,
-		ctx:   ctx,
-		chk:   solver.New(ctx),
-		byID:  map[int]*Violation{},
-		slots: make(map[string]int, len(p.Globals)),
-		funcs: make(map[string]int, len(p.Funcs)),
-		hints: map[string]int{},
+		p:      p,
+		opts:   opts,
+		ctx:    ctx,
+		chk:    solver.New(ctx),
+		byID:   map[int]*Violation{},
+		slots:  make(map[string]int, len(p.Globals)),
+		funcs:  make(map[string]int, len(p.Funcs)),
+		hints:  map[string]int{},
+		labels: map[*model.Fork][]string{},
 	}
 	ex.chk.Cfg = opts.Solver
 	ex.chk.Shared = opts.SolverMemo
@@ -303,39 +343,38 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 		ex.funcs[name] = len(ex.bodies)
 		ex.bodies = append(ex.bodies, f.Body)
 	}
-	init := &state{
+	st := &state{
 		store: make([]*bv.Expr, len(p.Globals)),
 		depth: make([]int, len(ex.bodies)),
 	}
 	for i, g := range p.Globals {
 		ex.slots[g.Name] = i
 		if g.Symbolic {
-			init.store[i] = ctx.Var(g.Name, g.Width)
+			st.store[i] = ctx.Var(g.Name, g.Width)
 		} else {
-			init.store[i] = ctx.Const(g.Width, g.Init)
+			st.store[i] = ctx.Const(g.Width, g.Init)
 		}
 	}
 	for _, c := range opts.InitialConstraints {
-		v, err := ex.eval(c, init)
+		v, err := ex.eval(c, st)
 		if err != nil {
 			return nil, err
 		}
-		init.pc = append(init.pc, ex.ctx.NonZero(v))
+		st.pc = append(st.pc, ex.ctx.NonZero(v))
 	}
-	if len(init.pc) > 0 {
-		res := ex.chk.Check(init.pc)
+	if len(st.pc) > 0 {
+		res := ex.chk.Check(st.pc)
 		if !res.Sat {
 			// The submodel's assumption is itself infeasible: no paths.
 			return &Result{Metrics: ex.met}, nil
 		}
-		init.lastModel = res.Model
+		st.lastModel = res.Model
 	}
 
-	stack := []*state{init}
 	ex.met.MaxFrontier = 1
 	exhausted := false
 	nextPoll := int64(0) // poll before the first path too
-	for len(stack) > 0 {
+	for {
 		if opts.MaxPaths > 0 && ex.met.Paths >= opts.MaxPaths {
 			exhausted = true
 			break
@@ -352,22 +391,140 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 				}
 			}
 		}
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		forks, err := ex.run(st)
+		brs, err := ex.run(st)
 		if err != nil {
 			return nil, err
 		}
-		// Push forks in reverse for in-order DFS.
-		for i := len(forks) - 1; i >= 0; i-- {
-			stack = append(stack, forks[i])
+		if len(brs) == 0 {
+			// The path ended: resume the newest choice's next branch.
+			if !ex.backtrack(st) {
+				break
+			}
+			continue
 		}
-		if n := int64(len(stack)); n > ex.met.MaxFrontier {
+		if len(brs) > 1 {
+			ex.pushChoice(st, brs[1:])
+		}
+		ex.enter(st, brs[0])
+		// The frontier is the running path plus the branches pending.
+		if n := ex.pending + 1; n > ex.met.MaxFrontier {
 			ex.met.MaxFrontier = n
 		}
 	}
 	ex.met.Solver = ex.chk.Stats
 	return &Result{Violations: ex.ordered, Metrics: ex.met, Tests: ex.tests, Exhausted: exhausted}, nil
+}
+
+// pushChoice records st at a fork together with the fork's branches after
+// the one st enters first.
+func (ex *executor) pushChoice(st *state, rest []branch) {
+	n := len(ex.choices)
+	if n < cap(ex.choices) {
+		ex.choices = ex.choices[:n+1]
+	} else {
+		ex.choices = append(ex.choices, choice{})
+	}
+	st.drawsShared = st.draws != nil
+	c := &ex.choices[n]
+	c.frames = append(c.frames[:0], st.frames...)
+	c.depth = append(c.depth[:0], st.depth...)
+	c.entryIdx, c.halted = st.entryIdx, st.halted
+	c.pcLen, c.traceLen, c.checksLen = len(st.pc), len(st.trace), len(st.checks)
+	c.writesLen = len(ex.writes)
+	c.draws, c.lastModel = st.draws, st.lastModel
+	c.branches = append(c.branches[:0], rest...)
+	c.next = 0
+	ex.pending += int64(len(rest))
+}
+
+// backtrack rewinds st to the newest choice's fork and enters its next
+// branch, popping the choice after its last one. It reports false when no
+// choice is left: exploration is complete.
+func (ex *executor) backtrack(st *state) bool {
+	n := len(ex.choices)
+	if n == 0 {
+		return false
+	}
+	c := &ex.choices[n-1]
+	for i := len(ex.writes) - 1; i >= c.writesLen; i-- {
+		st.store[ex.writes[i].slot] = ex.writes[i].old
+	}
+	ex.writes = ex.writes[:c.writesLen]
+	st.pc = st.pc[:c.pcLen]
+	st.trace = st.trace[:c.traceLen]
+	st.checks = st.checks[:c.checksLen]
+	st.frames = append(st.frames[:0], c.frames...)
+	copy(st.depth, c.depth)
+	st.entryIdx, st.halted = c.entryIdx, c.halted
+	st.draws, st.drawsShared = c.draws, c.draws != nil
+	st.lastModel = c.lastModel
+	br := c.branches[c.next]
+	c.next++
+	if c.next == len(c.branches) {
+		ex.choices = ex.choices[:n-1]
+	}
+	ex.pending--
+	ex.enter(st, br)
+	return true
+}
+
+// enter applies br to st: it appends br's conjunct and trace entry, takes
+// its witness and enters its body.
+func (ex *executor) enter(st *state, br branch) {
+	if br.cond != nil {
+		st.pc = append(st.pc, br.cond)
+	}
+	st.lastModel = br.witness
+	if br.label != "" {
+		st.trace = append(st.trace, br.label)
+	}
+	ex.pushBody(st, br.fn, br.body)
+}
+
+// set assigns v to a store slot, logging the old value while a choice may
+// need it back.
+func (ex *executor) set(st *state, slot int, v *bv.Expr) {
+	if len(ex.choices) > 0 {
+		ex.writes = append(ex.writes, write{slot, st.store[slot]})
+	}
+	st.store[slot] = v
+}
+
+// draw returns the variable of hint slot h's k-th draw at the given width,
+// formatting its name ("hint#k") only on first use.
+func (ex *executor) draw(h int, hint string, k, width int) *bv.Expr {
+	for len(ex.drawn) <= h {
+		ex.drawn = append(ex.drawn, nil)
+	}
+	vs := ex.drawn[h]
+	for len(vs) < k {
+		vs = append(vs, nil)
+	}
+	ex.drawn[h] = vs
+	if v := vs[k-1]; v != nil && v.Width == width {
+		return v
+	}
+	// New, or redrawn at another width, which Var rejects.
+	v := ex.ctx.Var(fmt.Sprintf("%s#%d", hint, k), width)
+	vs[k-1] = v
+	return v
+}
+
+// forkLabels returns f's trace entries, one per branch.
+func (ex *executor) forkLabels(f *model.Fork) []string {
+	if ls, ok := ex.labels[f]; ok {
+		return ls
+	}
+	ls := make([]string, len(f.Branches))
+	for i := range ls {
+		label := ""
+		if i < len(f.Labels) {
+			label = f.Labels[i]
+		}
+		ls[i] = f.Selector + "=" + label
+	}
+	ex.labels[f] = ls
+	return ls
 }
 
 // collectTest solves the completed path's constraints into one concrete
@@ -412,9 +569,10 @@ func allSat(pc []*bv.Expr, env map[string]uint64) bool {
 	return true
 }
 
-// run executes st until it completes, dies, or forks; forked successor
-// states are returned.
-func (ex *executor) run(st *state) ([]*state, error) {
+// run executes st until the path completes, dies, or forks. At a fork it
+// returns the feasible branches, in exploration order, without entering
+// any; the result is valid until the next call.
+func (ex *executor) run(st *state) ([]branch, error) {
 	for {
 		// Refill frames from the entry sequence.
 		for len(st.frames) == 0 {
@@ -459,7 +617,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if !ok {
 				return nil, fmt.Errorf("sym: assignment to unknown global %s", s.LHS)
 			}
-			st.store[i] = ex.ctx.Resize(v, ex.p.Globals[i].Width)
+			ex.set(st, i, ex.ctx.Resize(v, ex.p.Globals[i].Width))
 
 		case *model.MakeSymbolic:
 			i, ok := ex.slots[s.Var]
@@ -477,8 +635,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				st.draws, st.drawsShared = d, false
 			}
 			st.draws[h]++
-			name := fmt.Sprintf("%s#%d", s.Hint, st.draws[h])
-			st.store[i] = ex.ctx.Var(name, ex.p.Globals[i].Width)
+			ex.set(st, i, ex.draw(h, s.Hint, st.draws[h], ex.p.Globals[i].Width))
 
 		case *model.If:
 			cond, err := ex.eval(s.Cond, st)
@@ -495,35 +652,26 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				continue
 			}
 			ex.met.Forks++
-			var out []*state
-			if thenSt := ex.constrain(st.clone(), cond); thenSt != nil {
-				ex.pushBody(thenSt, fr.fn, s.Then)
-				out = append(out, thenSt)
+			// Both sides are decided here, then before else, so the solver
+			// sees the same queries in the same order whichever side runs.
+			out := ex.branches[:0]
+			if add, w, ok := ex.decide(st, cond); ok {
+				out = append(out, branch{cond: add, witness: w, fn: fr.fn, body: s.Then})
 			}
-			if elseSt := ex.constrain(st, ex.ctx.Not(cond)); elseSt != nil {
-				ex.pushBody(elseSt, fr.fn, s.Else)
-				out = append(out, elseSt)
+			if add, w, ok := ex.decide(st, ex.ctx.Not(cond)); ok {
+				out = append(out, branch{cond: add, witness: w, fn: fr.fn, body: s.Else})
 			}
+			ex.branches = out
 			return out, nil
 
 		case *model.Fork:
 			ex.met.Forks++
-			out := make([]*state, 0, len(s.Branches))
-			for i := range s.Branches {
-				var br *state
-				if i == len(s.Branches)-1 {
-					br = st
-				} else {
-					br = st.clone()
-				}
-				label := ""
-				if i < len(s.Labels) {
-					label = s.Labels[i]
-				}
-				br.trace = append(br.trace, fmt.Sprintf("%s=%s", s.Selector, label))
-				ex.pushBody(br, fr.fn, s.Branches[i])
-				out = append(out, br)
+			labels := ex.forkLabels(s)
+			out := ex.branches[:0]
+			for i, body := range s.Branches {
+				out = append(out, branch{witness: st.lastModel, label: labels[i], fn: fr.fn, body: body})
 			}
+			ex.branches = out
 			return out, nil
 
 		case *model.Call:
@@ -551,8 +699,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if cond.IsTrue() {
 				continue
 			}
-			next := ex.constrain(st, cond)
-			if next == nil {
+			if !ex.constrain(st, cond) {
 				return nil, nil // assumption unsatisfiable: silently drop path
 			}
 			continue
@@ -574,12 +721,12 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				continue
 			}
 			neg := ex.ctx.Not(cond)
-			res := ex.chk.Check(append(append([]*bv.Expr(nil), st.pc...), neg))
+			res := ex.chk.Check(st.query(neg))
 			if res.Sat {
 				ex.recordViolation(s.ID, res.Model, st.trace)
 				// Continue exploring the passing side, if any, so later
 				// assertions on this path are still checked.
-				if passSt := ex.constrain(st, cond); passSt == nil {
+				if !ex.constrain(st, cond) {
 					return nil, nil
 				}
 				continue
@@ -631,38 +778,55 @@ func (ex *executor) pushBody(st *state, fn int, body []model.Stmt) {
 	st.frames = append(st.frames, frame{fn: fn, body: body, isBlock: true})
 }
 
-// constrain adds cond to the path condition, returning nil if the path
+// constrain adds cond to the path condition, reporting false if the path
 // becomes infeasible.
-func (ex *executor) constrain(st *state, cond *bv.Expr) *state {
+func (ex *executor) constrain(st *state, cond *bv.Expr) bool {
+	add, w, ok := ex.decide(st, cond)
+	if ok {
+		ex.enter(st, branch{cond: add, witness: w})
+	}
+	return ok
+}
+
+// decide is constrain without changing the path: it reports whether the
+// path stays feasible under cond, the conjunct to append to pc for it (nil
+// when none is needed) and the path's witness afterwards.
+func (ex *executor) decide(st *state, cond *bv.Expr) (add *bv.Expr, witness map[string]uint64, ok bool) {
 	if cond.IsTrue() {
-		return st
+		return nil, st.lastModel, true
 	}
 	if cond.IsFalse() {
 		ex.met.KilledInfeasible++
-		return nil
+		return nil, nil, false
 	}
-	st.pc = append(st.pc, cond)
 	if ex.opts.Opt {
 		// Counterexample reuse: if the previous model still satisfies the
 		// new constraint, the path is SAT without consulting the solver.
 		if st.lastModel != nil && bv.Eval(cond, st.lastModel) == 1 {
-			return st
+			return cond, st.lastModel, true
 		}
 		// Deduplicate syntactically repeated constraints.
-		for _, c := range st.pc[:len(st.pc)-1] {
+		for _, c := range st.pc {
 			if c == cond {
-				st.pc = st.pc[:len(st.pc)-1]
-				return st
+				return nil, st.lastModel, true
 			}
 		}
 	}
-	res := ex.chk.Check(st.pc)
+	res := ex.chk.Check(st.query(cond))
 	if !res.Sat {
 		ex.met.KilledInfeasible++
-		return nil
+		return nil, nil, false
 	}
-	st.lastModel = res.Model
-	return st
+	return cond, res.Model, true
+}
+
+// query returns pc with e appended, for one solver call, without extending
+// the path: e goes into the slot past len(pc), which nothing reads (the
+// solver retains no query slice).
+func (st *state) query(e *bv.Expr) []*bv.Expr {
+	q := append(st.pc, e)
+	st.pc = q[:len(q)-1] // keep any capacity append grew
+	return q
 }
 
 func (ex *executor) recordViolation(id int, m map[string]uint64, trace []string) {
